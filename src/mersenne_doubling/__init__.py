@@ -21,16 +21,10 @@ from .dynamics import (
     DEFAULT_KAPPA,
     U64_MAX,
     FlyingTimeHistogram,
-    KappaConfig,
-    OddModulus,
     PeriodResult,
     PoincareStep,
-    RationalAngle,
-    Residue,
     floor_log2,
-    floor_log2_bitlength,
     flying_time_histogram,
-    integer_doubling_step,
     is_complete_wrt_flying_times,
     period_capped,
     period_hybrid,
@@ -57,15 +51,11 @@ __all__ = [
     "DEFAULT_LARGE_THRESHOLD",
     "DEFAULT_PRIME_BOUND",
     "FlyingTimeHistogram",
-    "KappaConfig",
     "MersenneCensus",
-    "OddModulus",
     "PeriodRecord",
     "PeriodResult",
     "PoincareStep",
     "PrimeTable",
-    "RationalAngle",
-    "Residue",
     "ScanReport",
     "U64_MAX",
     "build_prime_table",
@@ -73,9 +63,7 @@ __all__ = [
     "classify",
     "find_divisor_of_mersenne",
     "floor_log2",
-    "floor_log2_bitlength",
     "flying_time_histogram",
-    "integer_doubling_step",
     "is_complete_wrt_flying_times",
     "is_prime",
     "iter_candidates",

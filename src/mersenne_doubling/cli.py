@@ -4,8 +4,9 @@ Subcommands cover the whole library surface: single periods, range scans,
 flying-time histograms, primality checks, Mersenne divisor search, the
 census primality test, and a kappa timing sweep.  Exit codes: 0 success,
 2 usage error, 3 capacity error.  stdout carries data only; diagnostics go
-to stderr.  Every flag is mirrored by an MDBL_* environment variable, with
-flags taking precedence.
+to stderr.  Each subcommand takes only the flags it reads.  A flag left off
+the command line is read from its MDBL_* environment variable, and only for
+the subcommands that take that flag.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from time import perf_counter
 
 from .census import candidate_count, run_census
@@ -25,55 +25,57 @@ from .detector import (
     scan_range,
     write_report,
 )
-from .dynamics import DEFAULT_KAPPA, flying_time_histogram, period_hybrid, period_of
+from .dynamics import _check_kappa, flying_time_histogram, period_hybrid, period_of
 from .errors import CapacityError
 from .primality import DEFAULT_PRIME_BOUND, build_prime_table, is_prime
 
 _ENV_PREFIX = "MDBL_"
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    kappa: int
-    prime_bound: int
-    threshold: int
-    workers: int
-    out_dir: str
-    tsv: bool
-    l_max: int
+# destination: (flag, argparse options, default).  A subcommand takes only the
+# flags it reads.  A flag left off the command line is read from
+# MDBL_<DESTINATION>, parsed according to the type of its default.
+_FLAGS = {
+    "prime_bound": ("--prime-bound", dict(
+        type=int, help=f"sieve bound for the prime table (default {DEFAULT_PRIME_BOUND})"),
+        DEFAULT_PRIME_BOUND),
+    "threshold": ("--threshold", dict(
+        type=int, help=f"large-period threshold (default {DEFAULT_LARGE_THRESHOLD})"),
+        DEFAULT_LARGE_THRESHOLD),
+    "workers": ("--workers", dict(
+        type=int, help="worker processes (default: all cores)"),
+        os.cpu_count() or 1),
+    "out_dir": ("--out-dir", dict(
+        help="directory for the output files (default: current directory)"),
+        "."),
+    "tsv": ("--tsv", dict(
+        action="store_true", default=None, help="strict tab-separated output for scripting"),
+        False),
+    "l_max": ("--l-max", dict(
+        type=int, help=f"candidate limit (default {DEFAULT_L_MAX})"),
+        DEFAULT_L_MAX),
+}
 
 
-def _env(name: str) -> str | None:
-    return os.environ.get(_ENV_PREFIX + name)
-
-
-def _resolve_int(flag_value: int | None, env_name: str, default: int) -> int:
-    if flag_value is not None:
-        return flag_value
-    raw = _env(env_name)
-    if raw is not None:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ValueError(f"{_ENV_PREFIX}{env_name} must be an integer, got {raw!r}")
-    return default
-
-
-def _resolve_config(args: argparse.Namespace) -> CliConfig:
-    out_dir = args.out_dir if args.out_dir is not None else (_env("OUT_DIR") or ".")
-    if args.tsv:
-        tsv = True
-    else:
-        tsv = (_env("TSV") or "").strip().lower() in ("1", "true", "yes", "on")
-    return CliConfig(
-        kappa=_resolve_int(args.kappa, "KAPPA", DEFAULT_KAPPA),
-        prime_bound=_resolve_int(args.prime_bound, "PRIME_BOUND", DEFAULT_PRIME_BOUND),
-        threshold=_resolve_int(args.threshold, "THRESHOLD", DEFAULT_LARGE_THRESHOLD),
-        workers=_resolve_int(args.workers, "WORKERS", os.cpu_count() or 1),
-        out_dir=out_dir,
-        tsv=tsv,
-        l_max=_resolve_int(args.l_max, "L_MAX", DEFAULT_L_MAX),
-    )
+def _resolve_flags(args: argparse.Namespace) -> None:
+    """Fill in each flag of the chosen subcommand that the command line left off."""
+    for dest, (_, _, default) in _FLAGS.items():
+        if getattr(args, dest, False) is not None:  # given, or not taken by this subcommand
+            continue
+        name = _ENV_PREFIX + dest.upper()
+        raw = os.environ.get(name)
+        if raw is None:
+            value = default
+        elif isinstance(default, bool):
+            value = raw.strip().lower() in ("1", "true", "yes", "on")
+        elif isinstance(default, int):
+            try:
+                value = int(raw)
+            except ValueError:
+                raise ValueError(f"{name} must be an integer, got {raw!r}")
+        else:
+            value = raw or default
+        setattr(args, dest, value)
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -96,65 +98,64 @@ def _parse_kappa_range(text: str) -> list[int]:
     return _parse_int_list(text)
 
 
-def cmd_period(args: argparse.Namespace, cfg: CliConfig) -> int:
+def cmd_period(args: argparse.Namespace) -> int:
     start = perf_counter()
-    result = period_of(args.q, cfg.kappa)
+    result = period_of(args.q)
     elapsed = perf_counter() - start
-    if cfg.tsv:
+    if args.tsv:
         print(f"{args.q}\t{result.period}\t{result.steps}\t{elapsed:.6f}")
     else:
         print(f"q={args.q} period={result.period} steps={result.steps} seconds={elapsed:.6f}")
     return 0
 
 
-def cmd_scan(args: argparse.Namespace, cfg: CliConfig) -> int:
-    table = build_prime_table(cfg.prime_bound)
+def cmd_scan(args: argparse.Namespace) -> int:
+    table = build_prime_table(args.prime_bound)
     report = scan_range(
-        args.q_lo, args.q_hi, table,
-        kappa=cfg.kappa, large_threshold=cfg.threshold, workers=cfg.workers,
+        args.q_lo, args.q_hi, table, large_threshold=args.threshold, workers=args.workers,
     )
-    paths = write_report(report, cfg.out_dir)
+    paths = write_report(report, args.out_dir)
     for tag in STREAM_FILES:
         print(f"{tag}\t{len(report.stream(tag))}\t{paths[tag]}")
     return 0
 
 
-def cmd_histogram(args: argparse.Namespace, cfg: CliConfig) -> int:
-    hist = flying_time_histogram(args.q, cfg.kappa)
+def cmd_histogram(args: argparse.Namespace) -> int:
+    hist = flying_time_histogram(args.q)
     for t, count in hist.counts.items():
         print(f"{t}\t{count}")
     return 0
 
 
-def cmd_is_prime(args: argparse.Namespace, cfg: CliConfig) -> int:
-    table = build_prime_table(cfg.prime_bound)
+def cmd_is_prime(args: argparse.Namespace) -> int:
+    table = build_prime_table(args.prime_bound)
     verdict = "prime" if is_prime(args.n, table) else "composite"
-    if cfg.tsv:
+    if args.tsv:
         print(f"{args.n}\t{verdict}")
     else:
         print(f"n={args.n} verdict={verdict}")
     return 0
 
 
-def cmd_find_divisor(args: argparse.Namespace, cfg: CliConfig) -> int:
-    table = build_prime_table(cfg.prime_bound)
+def cmd_find_divisor(args: argparse.Namespace) -> int:
+    table = build_prime_table(args.prime_bound)
     start = perf_counter()
-    found = find_divisor_of_mersenne(args.n, table, l_max=cfg.l_max)
+    found = find_divisor_of_mersenne(args.n, table, l_max=args.l_max)
     elapsed = perf_counter() - start
     if found is None:
         print("none found")
         return 0
     q, l = found
-    if cfg.tsv:
+    if args.tsv:
         print(f"{args.n}\t{q}\t{l}\t{elapsed:.6f}")
     else:
         print(f"n={args.n} q={q} l={l} seconds={elapsed:.6f}")
     return 0
 
 
-def cmd_mersenne_test(args: argparse.Namespace, cfg: CliConfig) -> int:
+def cmd_mersenne_test(args: argparse.Namespace) -> int:
     start = perf_counter()
-    census = run_census(args.n0, workers=cfg.workers)
+    census = run_census(args.n0, workers=args.workers)
     elapsed = perf_counter() - start
     print("j\tv\trel\tverdict")
     print("2\t-\t-\tprime")  # M(2) = 3 sits outside the census range
@@ -169,12 +170,11 @@ def cmd_mersenne_test(args: argparse.Namespace, cfg: CliConfig) -> int:
     return 0
 
 
-def cmd_bench_kappa(args: argparse.Namespace, cfg: CliConfig) -> int:
+def cmd_bench_kappa(args: argparse.Namespace) -> int:
     qs = _parse_int_list(args.qs)
     kappas = _parse_kappa_range(args.kappas)
     for kappa in kappas:
-        if not 1 <= kappa <= 64:
-            raise ValueError(f"kappa must lie in 1..64, got {kappa}")
+        _check_kappa(kappa)
     for kappa in kappas:
         for q in qs:
             if q < max(5, 1 << kappa):
@@ -184,7 +184,7 @@ def cmd_bench_kappa(args: argparse.Namespace, cfg: CliConfig) -> int:
             start = perf_counter()
             result = period_hybrid(q, kappa)
             elapsed = perf_counter() - start
-            if cfg.tsv:
+            if args.tsv:
                 print(f"{kappa}\t{q}\t{result.period}\t{result.steps}\t{elapsed:.6f}")
             else:
                 print(f"kappa={kappa} q={q} period={result.period} "
@@ -192,21 +192,11 @@ def cmd_bench_kappa(args: argparse.Namespace, cfg: CliConfig) -> int:
     return 0
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--kappa", type=int, default=None,
-                        help=f"flying-time threshold (default {DEFAULT_KAPPA})")
-    parser.add_argument("--prime-bound", type=int, default=None,
-                        help=f"sieve bound for the prime table (default {DEFAULT_PRIME_BOUND})")
-    parser.add_argument("--threshold", type=int, default=None,
-                        help=f"large-period threshold (default {DEFAULT_LARGE_THRESHOLD})")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker processes for scans and the census (default: all cores)")
-    parser.add_argument("--out-dir", default=None,
-                        help="directory for scan output files (default: current directory)")
-    parser.add_argument("--tsv", action="store_true",
-                        help="strict tab-separated output for scripting")
-    parser.add_argument("--l-max", type=int, default=None,
-                        help=f"candidate limit for find-divisor (default {DEFAULT_L_MAX})")
+def _flag_parent(dest: str) -> argparse.ArgumentParser:
+    flag, options, _ = _FLAGS[dest]
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(flag, **options)
+    return parent
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -215,39 +205,40 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Doubling-map periods of 1/q and Mersenne number tools",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parents = {dest: _flag_parent(dest) for dest in _FLAGS}
 
-    p = sub.add_parser("period", help="period of 1/q under the doubling map")
+    def command(name: str, handler, summary: str, *dests: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary, parents=[parents[d] for d in dests])
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("period", cmd_period, "period of 1/q under the doubling map", "tsv")
     p.add_argument("q", type=int)
-    p.set_defaults(handler=cmd_period)
 
-    p = sub.add_parser("scan", help="periods of every odd q in a range, classified")
+    p = command("scan", cmd_scan, "periods of every odd q in a range, classified",
+                "prime_bound", "threshold", "workers", "out_dir")
     p.add_argument("q_lo", type=int)
     p.add_argument("q_hi", type=int)
-    p.set_defaults(handler=cmd_scan)
 
-    p = sub.add_parser("histogram", help="flying-time frequencies for 1/q")
+    p = command("histogram", cmd_histogram, "flying-time frequencies for 1/q")
     p.add_argument("q", type=int)
-    p.set_defaults(handler=cmd_histogram)
 
-    p = sub.add_parser("is-prime", help="deterministic table-based primality check")
+    p = command("is-prime", cmd_is_prime, "deterministic table-based primality check",
+                "prime_bound", "tsv")
     p.add_argument("n", type=int)
-    p.set_defaults(handler=cmd_is_prime)
 
-    p = sub.add_parser("find-divisor", help="search a divisor of M(n) for prime n")
+    p = command("find-divisor", cmd_find_divisor, "search a divisor of M(n) for prime n",
+                "prime_bound", "l_max", "tsv")
     p.add_argument("n", type=int)
-    p.set_defaults(handler=cmd_find_divisor)
 
-    p = sub.add_parser("mersenne-test", help="census primality test for M(j), prime j <= n0")
+    p = command("mersenne-test", cmd_mersenne_test,
+                "census primality test for M(j), prime j <= n0", "workers")
     p.add_argument("n0", type=int)
-    p.set_defaults(handler=cmd_mersenne_test)
 
-    p = sub.add_parser("bench-kappa", help="time the combined algorithm across kappa values")
+    p = command("bench-kappa", cmd_bench_kappa,
+                "time the combined algorithm across kappa values", "tsv")
     p.add_argument("--qs", required=True, help="comma-separated moduli")
     p.add_argument("--kappas", required=True, help="kappa list (1,2,3) or range (1..12)")
-    p.set_defaults(handler=cmd_bench_kappa)
-
-    for sp in sub.choices.values():
-        _add_common_flags(sp)
     return parser
 
 
@@ -259,7 +250,8 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        return args.handler(args, _resolve_config(args))
+        _resolve_flags(args)
+        return args.handler(args)
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

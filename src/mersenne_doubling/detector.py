@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .dynamics import DEFAULT_KAPPA, U64_MAX, _check_kappa, floor_log2, period_of
+from .dynamics import U64_MAX, floor_log2, period_of
 from .primality import PrimeTable, is_prime
 
 # Exponent of the largest known Mersenne prime; periods beyond it are "large".
@@ -90,16 +90,15 @@ def classify(
     return STREAM_LARGE_PRIME if period > large_threshold else STREAM_SMALL_PRIME
 
 
-def _scan_chunk(args: tuple[int, int, int]) -> list[tuple[int, int]]:
-    lo, hi, kappa = args
-    return [(q, period_of(q, kappa).period) for q in range(lo, hi + 1, 2)]
+def _scan_chunk(args: tuple[int, int]) -> list[tuple[int, int]]:
+    lo, hi = args
+    return [(q, period_of(q).period) for q in range(lo, hi + 1, 2)]
 
 
 def scan_range(
     q_lo: int,
     q_hi: int,
     table: PrimeTable,
-    kappa: int = DEFAULT_KAPPA,
     large_threshold: int = DEFAULT_LARGE_THRESHOLD,
     workers: int = 1,
 ) -> ScanReport:
@@ -110,13 +109,11 @@ def scan_range(
     contiguous chunks computed in separate processes; the final sort makes
     the output deterministic regardless.
     """
-    _check_kappa(kappa)
-    min_q = max(5, 1 << kappa)
     for endpoint in (q_lo, q_hi):
         if endpoint % 2 == 0:
             raise ValueError(f"scan endpoints must be odd, got {endpoint}")
-        if endpoint < min_q:
-            raise ValueError(f"scan endpoints must be >= {min_q}, got {endpoint}")
+        if endpoint < 5:
+            raise ValueError(f"scan endpoints must be >= 5, got {endpoint}")
         if endpoint > U64_MAX:
             raise ValueError(f"scan endpoints must fit in 64 bits, got {endpoint}")
     direction = "down" if q_lo > q_hi else "up"
@@ -129,7 +126,7 @@ def scan_range(
         start = lo
         while start <= hi:
             end = min(start + 2 * (chunk - 1), hi)
-            tasks.append((start, end, kappa))
+            tasks.append((start, end))
             start = end + 2
         pairs: list[tuple[int, int]] = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -137,7 +134,7 @@ def scan_range(
                 pairs.extend(part)
     else:
         qs = range(lo, hi + 1, 2) if direction == "up" else range(hi, lo - 1, -2)
-        pairs = [(q, period_of(q, kappa).period) for q in qs]
+        pairs = [(q, period_of(q).period) for q in qs]
 
     report = ScanReport(q_lo, q_hi, direction, large_threshold)
     for q, period in pairs:

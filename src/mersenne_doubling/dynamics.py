@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -27,43 +27,13 @@ U64_MAX = 2**64 - 1
 
 DEFAULT_KAPPA = 2
 
-# Position of the dominant (most significant) one bit for every byte value.
-# Entry 0 is a filler; a zero byte has no dominant one.
-_BYTE_TOP_BIT = bytes([0] + [v.bit_length() - 1 for v in range(1, 256)])
-
 
 def floor_log2(u: int) -> int:
-    """Return the t with 2**t <= u < 2**(t+1), for 1 <= u < 2**64.
-
-    Locates the most significant nonzero byte of u with at most three
-    bisection steps, then reads the position of its top bit from a
-    256-entry table.
-    """
+    """Return the t with 2**t <= u < 2**(t+1), for 1 <= u < 2**64."""
     if u < 1:
         raise ValueError("floor_log2 needs u >= 1 (zero has no dominant one)")
     if u > U64_MAX:
         raise ValueError("floor_log2 operates on 64-bit values")
-    if u >> 32:
-        if u >> 48:
-            if u >> 56:
-                return 56 + _BYTE_TOP_BIT[u >> 56]
-            return 48 + _BYTE_TOP_BIT[u >> 48]
-        if u >> 40:
-            return 40 + _BYTE_TOP_BIT[u >> 40]
-        return 32 + _BYTE_TOP_BIT[u >> 32]
-    if u >> 16:
-        if u >> 24:
-            return 24 + _BYTE_TOP_BIT[u >> 24]
-        return 16 + _BYTE_TOP_BIT[u >> 16]
-    if u >> 8:
-        return 8 + _BYTE_TOP_BIT[u >> 8]
-    return _BYTE_TOP_BIT[u]
-
-
-def floor_log2_bitlength(u: int) -> int:
-    """Alternate floor_log2 backend on top of int.bit_length (kept for cross-checks)."""
-    if u < 1:
-        raise ValueError("floor_log2 needs u >= 1 (zero has no dominant one)")
     return u.bit_length() - 1
 
 
@@ -86,72 +56,6 @@ def _check_residue(r: int, q: int) -> None:
 def _check_kappa(kappa: int) -> None:
     if not 1 <= kappa <= 64:
         raise ValueError(f"kappa must lie in 1..64, got {kappa}")
-
-
-@dataclass(frozen=True)
-class OddModulus:
-    """An odd denominator q >= 3 within 64 unsigned bits."""
-
-    q: int
-
-    def __post_init__(self) -> None:
-        _check_modulus(self.q)
-
-    @property
-    def half(self) -> int:
-        """(q - 1) // 2, the largest residue that can double without reduction."""
-        return (self.q - 1) >> 1
-
-
-@dataclass(frozen=True)
-class RationalAngle:
-    """A reduced angle p/q on the circle with odd denominator (hence periodic)."""
-
-    p: int
-    q: int
-
-    def __post_init__(self) -> None:
-        _check_modulus(self.q)
-        if not 0 < self.p < self.q:
-            raise ValueError(f"numerator must lie in 1..{self.q - 1}, got {self.p}")
-        if math.gcd(self.p, self.q) != 1:
-            raise ValueError(f"{self.p}/{self.q} is not in lowest terms")
-
-
-@dataclass(frozen=True)
-class Residue:
-    """An element of Z_q = {1, ..., q-1}."""
-
-    r: int
-    q: int
-
-    def __post_init__(self) -> None:
-        _check_modulus(self.q)
-        _check_residue(self.r, self.q)
-
-
-@dataclass(frozen=True)
-class KappaConfig:
-    """Flying-time threshold separating the two step strategies.
-
-    Steps with flying time <= kappa are cheaper via plain doublings; longer
-    flights are cheaper via one floor_log2 prediction.  kappa = 2 is the
-    empirically best default.
-    """
-
-    kappa: int = DEFAULT_KAPPA
-
-    def __post_init__(self) -> None:
-        _check_kappa(self.kappa)
-
-    def r_boundary(self, q: int) -> int:
-        """Largest residue still worth a predictive step: floor(q / 2**kappa)."""
-        return q >> self.kappa
-
-    @property
-    def min_modulus(self) -> int:
-        """Smallest q the combined algorithm accepts: max(5, 2**kappa)."""
-        return max(5, 1 << self.kappa)
 
 
 class PoincareStep(NamedTuple):
@@ -182,19 +86,6 @@ class FlyingTimeHistogram:
     @property
     def steps(self) -> int:
         return sum(self.counts.values())
-
-
-def integer_doubling_step(r: int, q: int) -> int:
-    """One doubling 2r (mod q), in the subtractive form that cannot overflow.
-
-    For r above (q-1)/2 the reduction is written r - (q - r); the equal
-    2r - q is avoided because 2r exceeds 64 bits for q near the type limit.
-    """
-    _check_modulus(q)
-    _check_residue(r, q)
-    if r <= (q - 1) >> 1:
-        return r + r
-    return r - (q - r)
 
 
 def poincare_step_naive(r: int, q: int) -> PoincareStep:
@@ -280,18 +171,20 @@ def period_hybrid(q: int, kappa: int = DEFAULT_KAPPA) -> PeriodResult:
 
 
 # ---------------------------------------------------------------------------
-# Fast backend for large q.
+# Order search and wrap-bit stream.
 #
 # The period is found by a baby-step/giant-step search for the least n with
-# 2**n = 1 (mod q); the step count is then recovered by replaying the n
-# doublings in big blocks.  One block of k doublings starting from residue x
-# is a single divmod:  x << k = quotient * q + new_x,  and the binary digits
-# of the quotient mark exactly the doublings that wrapped past q.  Reduction
-# count = popcount, flying times = gaps between set bits.
+# 2**n = 1 (mod q); steps and flying times are then recovered by replaying
+# the n doublings in big blocks.  One block of k doublings starting from
+# residue x is a single divmod:  x << k = quotient * q + new_x,  and the
+# binary digits of the quotient mark exactly the doublings that wrapped past
+# q.  Reduction count = popcount, flying times = gaps between set bits.
 # ---------------------------------------------------------------------------
 
-_ENGINE_MIN_Q = 1 << 16     # below this, the stepping loops are at least as fast
-_SMALL_CAP = 4096           # caps this small are cheapest as a plain loop
+# period_of keeps q below this on period_hybrid, although that loop costs
+# about 5x more per q than the order search and stream just above 2**16
+# (perfbench/findings.py, finding 1).
+_ENGINE_MIN_Q = 1 << 16
 _BABY_LIMIT = 1 << 20
 _GIANT_BATCH = 1 << 12
 _STREAM_BLOCK = 1 << 18     # doublings per divmod block; multiple of 16
@@ -338,19 +231,33 @@ def _order_search(q: int, limit: int) -> Optional[int]:
     return None
 
 
-def _count_reductions(q: int, n: int) -> int:
-    """Number of wrapped doublings among the n doublings closing the orbit of 1."""
+def _order(q: int) -> int:
+    n = _order_search(q, q - 1)
+    assert n is not None  # the order of 2 divides lambda(q) <= q - 1
+    return n
+
+
+def _wrap_blocks(q: int, n: int) -> Iterator[tuple[int, int, int]]:
+    """The n doublings of the orbit of 1 as (start, length, wrap bits) blocks.
+
+    The wrap bits of a block are its divmod quotient, first doubling in the
+    most significant of its length bits.  Raises ArithmeticError after the
+    last block if the orbit has not returned to 1.
+    """
     x = 1
-    m = 0
     done = 0
     while done < n:
         k = min(_STREAM_BLOCK, n - done)
         quotient, x = divmod(x << k, q)
-        m += quotient.bit_count()
+        yield done, k, quotient
         done += k
     if x != 1:
         raise ArithmeticError(f"orbit of 1 mod {q} did not close after {n} doublings")
-    return m
+
+
+def _count_reductions(q: int, n: int) -> int:
+    """Number of wrapped doublings among the n doublings closing the orbit of 1."""
+    return sum(quotient.bit_count() for _, _, quotient in _wrap_blocks(q, n))
 
 
 _WORD_TABLES: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
@@ -402,12 +309,8 @@ def _flight_counts_stream(q: int, n: int) -> np.ndarray:
     gap_lut, lead_lut, trail_lut = _word_tables()
     counts = np.zeros(65, dtype=np.int64)
     word_hist = np.zeros(65536, dtype=np.int64)
-    x = 1
     prev = -1
-    done = 0
-    while done < n:
-        k = min(_STREAM_BLOCK, n - done)
-        quotient, x = divmod(x << k, q)
+    for done, k, quotient in _wrap_blocks(q, n):
         n_words = (k + 15) >> 4
         quotient <<= n_words * 16 - k  # right-pad the final partial word with zeros
         words = np.frombuffer(quotient.to_bytes(n_words * 2, "big"), dtype=">u2")
@@ -427,111 +330,46 @@ def _flight_counts_stream(q: int, n: int) -> np.ndarray:
                 raise ArithmeticError(f"flying time above 64 in orbit of 1 mod {q}")
             counts[first - prev] += 1
             prev = done + int(nz[-1]) * 16 + 15 - int(trail[-1])
-        done += k
-    if x != 1 or prev != n - 1:
-        raise ArithmeticError(f"orbit of 1 mod {q} did not close after {n} doublings")
     counts[:17] += word_hist @ gap_lut
     return counts
 
 
-def _period_engine(q: int) -> PeriodResult:
-    n = _order_search(q, q - 1)
-    assert n is not None  # the order of 2 divides lambda(q) <= q - 1
-    return PeriodResult(q, n, _count_reductions(q, n))
-
-
-def _period_capped_loop(q: int, cap: int) -> Optional[PeriodResult]:
-    qh = (q - 1) >> 1
-    r = 1
-    period = 0
-    steps = 0
-    while True:
-        ft = 0
-        while r <= qh:
-            r += r
-            ft += 1
-        r -= q - r
-        period += ft + 1
-        steps += 1
-        if r == 1:
-            return PeriodResult(q, period, steps) if period <= cap else None
-        if period > cap:
-            return None
-
-
-def period_of(q: int, kappa: int = DEFAULT_KAPPA) -> PeriodResult:
+def period_of(q: int) -> PeriodResult:
     """Period of 1/q under the doubling map, for any odd q >= 3.
 
-    q = 3 is the constant-period-2 special case.  Small q delegate to the
-    stepping algorithms; large q use the block-doubling backend, which
-    returns the identical result far faster.
+    q = 3 is the constant-period-2 special case.  q below 2**16 run the
+    stepping algorithm period_hybrid; larger q the order search and the
+    wrap-bit stream, which return the identical result far faster.
     """
-    _check_kappa(kappa)
     _check_modulus(q)
     if q == 3:
         return PeriodResult(3, 2, 1)
-    if q >= _ENGINE_MIN_Q:
-        return _period_engine(q)
-    if q >= max(5, 1 << kappa):
-        return period_hybrid(q, kappa)
-    return period_naive(q)
+    if q < _ENGINE_MIN_Q:
+        return period_hybrid(q)
+    n = _order(q)
+    return PeriodResult(q, n, _count_reductions(q, n))
 
 
-def period_capped(q: int, cap: int, kappa: int = DEFAULT_KAPPA) -> Optional[PeriodResult]:
-    """period_of, aborted with None as soon as the running period exceeds cap."""
-    _check_kappa(kappa)
+def period_capped(q: int, cap: int) -> Optional[PeriodResult]:
+    """period_of, or None when the period exceeds cap."""
     _check_modulus(q)
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    if q == 3:
-        return PeriodResult(3, 2, 1) if cap >= 2 else None
-    if q < _ENGINE_MIN_Q or cap <= _SMALL_CAP:
-        return _period_capped_loop(q, cap)
     n = _order_search(q, min(cap, q - 1))
     if n is None:
         return None
     return PeriodResult(q, n, _count_reductions(q, n))
 
 
-def _flight_counts_loop(q: int, kappa: int) -> dict[int, int]:
-    qh = (q - 1) >> 1
-    qm1 = q - 1
-    r_boundary = q >> kappa if q >= (1 << kappa) else 0
-    counts: dict[int, int] = {}
-    r = 1
-    while True:
-        if r > r_boundary:
-            t = 0
-            a = r
-            while a <= qh:
-                a += a
-                t += 1
-        else:
-            t = floor_log2(qm1 // r)
-            a = r << t
-        r = a - (q - a)
-        ft = t + 1
-        counts[ft] = counts.get(ft, 0) + 1
-        if r == 1:
-            return counts
-
-
-def flying_time_histogram(q: int, kappa: int = DEFAULT_KAPPA) -> FlyingTimeHistogram:
+def flying_time_histogram(q: int) -> FlyingTimeHistogram:
     """Frequency of every flying time along the full cycle of 1 in Z_q."""
-    _check_kappa(kappa)
     _check_modulus(q, minimum=5)
-    if q < _ENGINE_MIN_Q:
-        counts = _flight_counts_loop(q, kappa)
-    else:
-        n = _order_search(q, q - 1)
-        assert n is not None
-        arr = _flight_counts_stream(q, n)
-        counts = {t: int(arr[t]) for t in range(1, 65) if arr[t]}
-    return FlyingTimeHistogram(q, dict(sorted(counts.items())))
+    arr = _flight_counts_stream(q, _order(q))
+    return FlyingTimeHistogram(q, {t: int(arr[t]) for t in range(1, 65) if arr[t]})
 
 
-def is_complete_wrt_flying_times(q: int, kappa: int = DEFAULT_KAPPA) -> bool:
+def is_complete_wrt_flying_times(q: int) -> bool:
     """Whether every flying time 1..s occurs for 1/q, where 2**(s-1) < q < 2**s."""
-    hist = flying_time_histogram(q, kappa)
+    hist = flying_time_histogram(q)
     s = floor_log2(q) + 1
     return all(t in hist.counts for t in range(1, s + 1))

@@ -178,11 +178,11 @@ def test_env_variables_supply_defaults(capsys, monkeypatch):
 
 
 def test_flags_override_env(capsys, monkeypatch):
-    monkeypatch.setenv("MDBL_KAPPA", "70")  # invalid on purpose
-    assert run_cli(capsys, "period", 5)[0] == 2
-    code, out, _ = run_cli(capsys, "period", 5, "--kappa", 2)
+    monkeypatch.setenv("MDBL_PRIME_BOUND", "1")  # invalid on purpose
+    assert run_cli(capsys, "is-prime", 7)[0] == 2
+    code, out, _ = run_cli(capsys, "is-prime", 7, "--prime-bound", 100)
     assert code == 0
-    assert out.startswith("q=5 period=4")
+    assert out == "n=7 verdict=prime\n"
 
 
 def test_env_l_max(capsys, monkeypatch):
@@ -206,8 +206,24 @@ def test_env_out_dir(capsys, monkeypatch, tmp_path):
 
 
 def test_bad_env_value_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("MDBL_KAPPA", "two")
-    assert run_cli(capsys, "period", 5)[0] == 2
+    monkeypatch.setenv("MDBL_L_MAX", "two")
+    code, out, err = run_cli(capsys, "find-divisor", 11)
+    assert code == 2
+    assert out == ""
+    assert "MDBL_L_MAX" in err
+
+
+def test_commands_take_only_their_own_flags(capsys, monkeypatch, tmp_path):
+    # A variable is read only by the subcommands that take its flag.
+    monkeypatch.setenv("MDBL_L_MAX", "two")
+    monkeypatch.setenv("MDBL_WORKERS", "two")
+    code, out, _ = run_cli(capsys, "period", 5)
+    assert code == 0
+    assert out.startswith("q=5 period=4")
+    # A flag the subcommand does not read is a usage error.
+    assert run_cli(capsys, "histogram", 13, "--l-max", 5)[0] == 2
+    assert run_cli(capsys, "histogram", 13, "--out-dir", tmp_path)[0] == 2
+    assert run_cli(capsys, "period", 5, "--kappa", 2)[0] == 2
 
 
 def test_module_entry_point():

@@ -120,7 +120,7 @@ def test_scan_endpoint_validation(prime_table):
     with pytest.raises(ValueError):
         scan_range(3, 9, prime_table)
     with pytest.raises(ValueError):
-        scan_range(9, 31, prime_table, kappa=5)  # 9 < 2**5
+        scan_range(9, 2**64 + 1, prime_table)
 
 
 def test_write_report(tmp_path, prime_table):

@@ -5,14 +5,8 @@ import pytest
 import oracles
 from mersenne_doubling import (
     FlyingTimeHistogram,
-    KappaConfig,
-    OddModulus,
-    RationalAngle,
-    Residue,
     floor_log2,
-    floor_log2_bitlength,
     flying_time_histogram,
-    integer_doubling_step,
     is_complete_wrt_flying_times,
     period_capped,
     period_hybrid,
@@ -23,10 +17,8 @@ from mersenne_doubling import (
 )
 from mersenne_doubling.dynamics import (
     _count_reductions,
-    _flight_counts_loop,
     _flight_counts_stream,
     _order_search,
-    _period_engine,
 )
 
 
@@ -44,84 +36,25 @@ def test_floor_log2_rejects_zero_and_oversize():
         floor_log2(0)
     with pytest.raises(ValueError):
         floor_log2(2**64)
-    with pytest.raises(ValueError):
-        floor_log2_bitlength(0)
-
-
-def test_floor_log2_backends_agree_exhaustive_low():
-    for u in range(1, 1 << 20):
-        assert floor_log2(u) == u.bit_length() - 1
 
 
 def test_floor_log2_backends_agree_power_neighbourhoods():
     for k in range(1, 64):
         for u in (2**k - 1, 2**k, 2**k + 1):
             if 1 <= u < 2**64:
-                assert floor_log2(u) == floor_log2_bitlength(u)
+                t = floor_log2(u)
+                assert 2**t <= u < 2**(t + 1)
 
 
 def test_floor_log2_backends_agree_random_64bit():
     rng = random.Random(0xF100)
     for _ in range(20000):
         u = rng.randrange(1, 2**64)
-        assert floor_log2(u) == floor_log2_bitlength(u)
-
-
-# --- domain types ---------------------------------------------------------
-
-def test_odd_modulus_validation():
-    assert OddModulus(5).half == 2
-    assert OddModulus(2**64 - 1).q == 2**64 - 1
-    for bad in (4, 1, -3, 2**64 + 1):
-        with pytest.raises(ValueError):
-            OddModulus(bad)
-
-
-def test_residue_validation():
-    Residue(1, 5)
-    Residue(4, 5)
-    for bad in (0, 5, 6):
-        with pytest.raises(ValueError):
-            Residue(bad, 5)
-
-
-def test_rational_angle_validation():
-    RationalAngle(2, 5)
-    for p, q in ((0, 5), (5, 5), (3, 9), (2, 4)):
-        with pytest.raises(ValueError):
-            RationalAngle(p, q)
-
-
-def test_kappa_config():
-    cfg = KappaConfig()
-    assert cfg.kappa == 2
-    assert cfg.r_boundary(13) == 3
-    assert cfg.min_modulus == 5
-    assert KappaConfig(4).min_modulus == 16
-    for bad in (0, 65):
-        with pytest.raises(ValueError):
-            KappaConfig(bad)
+        t = floor_log2(u)
+        assert 2**t <= u < 2**(t + 1)
 
 
 # --- doubling and return-map steps ----------------------------------------
-
-def test_integer_doubling_examples():
-    assert integer_doubling_step(1, 5) == 2
-    assert integer_doubling_step(4, 5) == 3
-    assert integer_doubling_step(2, 3) == 1
-
-
-def test_integer_doubling_matches_mod_arithmetic():
-    for q in range(3, 202, 2):
-        for r in range(1, q):
-            assert integer_doubling_step(r, q) == (2 * r) % q
-
-
-def test_integer_doubling_near_type_limit():
-    q = 2**64 - 1
-    assert integer_doubling_step(q - 1, q) == q - 2
-    assert integer_doubling_step((q - 1) // 2, q) == q - 1
-
 
 def test_poincare_step_naive_examples():
     assert poincare_step_naive(1, 5) == (3, 3)
@@ -179,7 +112,7 @@ def test_period_naive_examples():
 
 
 def test_period_naive_preconditions():
-    for bad in (3, 4, 1):
+    for bad in (3, 4, 1, -3, 2**64 + 1):
         with pytest.raises(ValueError):
             period_naive(bad)
 
@@ -240,12 +173,22 @@ def test_hybrid_agrees_across_kappas_full_sweep():
 
 
 def test_engine_matches_stepping():
+    # period_capped runs the order search and the wrap-bit stream for every q.
     for q in range(5, 602, 2):
-        assert _period_engine(q) == period_naive(q)
+        assert period_of(q) == period_capped(q, q - 1) == period_naive(q)
     rng = random.Random(0xE2)
     for _ in range(40):
         q = rng.randrange(1 << 16, 1 << 22) | 1
-        assert _period_engine(q) == period_naive(q)
+        assert period_of(q) == period_naive(q)
+
+
+def test_routing_boundary_matches_oracles():
+    # period_of and flying_time_histogram change backend at q = 2**16.
+    for q in range(2**16 - 2**9 + 1, 2**16 + 2**9, 2):
+        assert period_of(q) == period_naive(q)
+        times = oracles.flying_times_exact(q)
+        expected = {t: times.count(t) for t in sorted(set(times))}
+        assert flying_time_histogram(q).counts == expected
 
 
 def test_engine_table_rows():
@@ -348,20 +291,16 @@ def test_histogram_accounting_identity():
 
 
 def test_histogram_stream_backend_matches_loop():
-    # Force the streaming backend on moduli small enough for the loop oracle.
-    for q in range(5, 502, 2):
-        loop = _flight_counts_loop(q, 2)
-        n = sum(t * c for t, c in loop.items())
-        arr = _flight_counts_stream(q, n)
-        assert {t: int(arr[t]) for t in range(1, 65) if arr[t]} == loop
-        assert _count_reductions(q, n) == sum(loop.values())
+    # The wrap-bit stream against the exact-integer stepping oracle.
     rng = random.Random(0x57E)
-    for _ in range(20):
-        q = rng.randrange(1 << 16, 1 << 21) | 1
-        loop = _flight_counts_loop(q, 2)
-        n = sum(t * c for t, c in loop.items())
+    qs = [*range(5, 502, 2), *(rng.randrange(1 << 16, 1 << 21) | 1 for _ in range(20))]
+    for q in qs:
+        times = oracles.flying_times_exact(q)
+        expected = {t: times.count(t) for t in sorted(set(times))}
+        n = sum(times)
         arr = _flight_counts_stream(q, n)
-        assert {t: int(arr[t]) for t in range(1, 65) if arr[t]} == loop
+        assert {t: int(arr[t]) for t in range(1, 65) if arr[t]} == expected
+        assert _count_reductions(q, n) == len(times)
 
 
 def test_histogram_zero_counts_omitted():
