@@ -18,6 +18,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CapacityError
+from .primality import is_prime64
 
 MAX_EXPONENT = 127  # beyond this the candidate bound exceeds 64 bits
 
@@ -29,17 +30,13 @@ REASON_MULTIPLE = "multiple-witnesses"
 _DEFAULT_CHUNK = 1 << 21
 
 
-def _small_primes_upto(n: int) -> list[int]:
-    return [p for p in range(2, n + 1) if all(p % d for d in range(2, isqrt(p) + 1))]
-
-
 def sqrt_of_mersenne(n0: int) -> int:
     """Exact floor(sqrt(2**n0 - 1)) for prime n0 up to 127."""
     if n0 > MAX_EXPONENT:
         raise CapacityError(f"candidate bound for n0={n0} exceeds 64 bits (max n0={MAX_EXPONENT})")
     if n0 < 3:
         raise ValueError(f"the test needs n0 >= 3, got {n0}")
-    if any(n0 % d == 0 for d in range(2, isqrt(n0) + 1)):
+    if not is_prime64(n0):
         raise ValueError(f"the test needs a prime n0, got {n0}")
     return isqrt((1 << n0) - 1)
 
@@ -124,9 +121,7 @@ def run_census(n0: int, workers: int = 1, chunk: int = _DEFAULT_CHUNK) -> Mersen
     counts = {j: int(v[j]) for j in range(3, n0 + 1)}
     verdicts: dict[int, bool] = {}
     reasons: dict[int, str] = {}
-    for j in _small_primes_upto(n0):
-        if j < 3:
-            continue
+    for j in filter(is_prime64, range(3, n0 + 1)):
         vj = counts[j]
         self_in_range = (1 << j) - 1 <= bound
         if vj == 0:

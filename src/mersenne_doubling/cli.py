@@ -223,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("histogram", cmd_histogram, "flying-time frequencies for 1/q")
     p.add_argument("q", type=int)
 
-    p = command("is-prime", cmd_is_prime, "deterministic table-based primality check",
+    p = command("is-prime", cmd_is_prime, "deterministic primality check up to the table capacity",
                 "prime_bound", "tsv")
     p.add_argument("n", type=int)
 

@@ -90,9 +90,8 @@ def classify(
     return STREAM_LARGE_PRIME if period > large_threshold else STREAM_SMALL_PRIME
 
 
-def _scan_chunk(args: tuple[int, int]) -> list[tuple[int, int]]:
-    lo, hi = args
-    return [(q, period_of(q).period) for q in range(lo, hi + 1, 2)]
+def _scan_chunk(qs: range) -> list[tuple[int, int]]:
+    return [(q, period_of(q).period) for q in qs]
 
 
 def scan_range(
@@ -105,9 +104,9 @@ def scan_range(
     """Periods of every odd q between the endpoints (inclusive), classified.
 
     A first endpoint above the second scans downwards; the resulting record
-    set is the same either way.  With workers > 1 the range is split into
-    contiguous chunks computed in separate processes; the final sort makes
-    the output deterministic regardless.
+    set is the same either way.  With workers > 1 the q, in scan order, are
+    split into contiguous chunks computed in separate processes; the final
+    sort makes the output deterministic regardless.
     """
     for endpoint in (q_lo, q_hi):
         if endpoint % 2 == 0:
@@ -117,24 +116,14 @@ def scan_range(
         if endpoint > U64_MAX:
             raise ValueError(f"scan endpoints must fit in 64 bits, got {endpoint}")
     direction = "down" if q_lo > q_hi else "up"
-    lo, hi = min(q_lo, q_hi), max(q_lo, q_hi)
-
+    qs = range(q_lo, q_hi + 1, 2) if direction == "up" else range(q_lo, q_hi - 1, -2)
     if workers > 1:
-        count = (hi - lo) // 2 + 1
-        chunk = max(1, -(-count // (workers * 4)))
-        tasks = []
-        start = lo
-        while start <= hi:
-            end = min(start + 2 * (chunk - 1), hi)
-            tasks.append((start, end))
-            start = end + 2
-        pairs: list[tuple[int, int]] = []
+        size = -(-len(qs) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_scan_chunk, tasks):
-                pairs.extend(part)
+            parts = pool.map(_scan_chunk, [qs[i:i + size] for i in range(0, len(qs), size)])
+            pairs = [pair for part in parts for pair in part]
     else:
-        qs = range(lo, hi + 1, 2) if direction == "up" else range(hi, lo - 1, -2)
-        pairs = [(q, period_of(q).period) for q in qs]
+        pairs = _scan_chunk(qs)
 
     report = ScanReport(q_lo, q_hi, direction, large_threshold)
     for q, period in pairs:

@@ -23,6 +23,8 @@ from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
+from .primality import factor
+
 U64_MAX = 2**64 - 1
 
 DEFAULT_KAPPA = 2
@@ -171,69 +173,33 @@ def period_hybrid(q: int, kappa: int = DEFAULT_KAPPA) -> PeriodResult:
 
 
 # ---------------------------------------------------------------------------
-# Order search and wrap-bit stream.
+# Order and wrap-bit stream.
 #
-# The period is found by a baby-step/giant-step search for the least n with
-# 2**n = 1 (mod q); steps and flying times are then recovered by replaying
-# the n doublings in big blocks.  One block of k doublings starting from
-# residue x is a single divmod:  x << k = quotient * q + new_x,  and the
-# binary digits of the quotient mark exactly the doublings that wrapped past
-# q.  Reduction count = popcount, flying times = gaps between set bits.
+# The period is the order of 2 mod q (_order).  Steps and flying times come
+# from replaying its n doublings in blocks: k doublings from residue x are
+# one divmod, x << k = quotient * q + new_x, whose quotient has a set bit at
+# every doubling that wrapped past q.  Steps = popcount, flying times = gaps
+# between set bits.
 # ---------------------------------------------------------------------------
 
-# period_of keeps q below this on period_hybrid, although that loop costs
-# about 5x more per q than the order search and stream just above 2**16
-# (perfbench/findings.py, finding 1).
+# period_of keeps q below this on period_hybrid.  Sending them to _order and
+# the stream cut the scan's op_ms_p50 tenfold but raised its op_ms_tail 5-15%
+# (3.6x in another set): the tail then sits on mid q streaming unread steps.
 _ENGINE_MIN_Q = 1 << 16
-_BABY_LIMIT = 1 << 20
-_GIANT_BATCH = 1 << 12
 _STREAM_BLOCK = 1 << 18     # doublings per divmod block; multiple of 16
 
 
-def _order_search(q: int, limit: int) -> Optional[int]:
-    """Least n in [1, limit] with 2**n = 1 (mod q), or None if none exists.
-
-    Baby steps store 2**j (mod q) for j < B; giant steps scan 2**(i*B) and a
-    match at baby j pins n = i*B - j.  Memory is O(B) with B at most 2**20.
-    """
-    qh = (q - 1) >> 1
-    n_baby = min(_BABY_LIMIT, math.isqrt(limit) + 1)
-    baby = np.empty(n_baby, dtype=np.uint64)
-    r = 1
-    for j in range(n_baby):
-        baby[j] = r
-        r = r + r if r <= qh else r - (q - r)
-        if r == 1:
-            n = j + 1
-            return n if n <= limit else None
-    # No repeat of 1 among the babies, so the order is >= n_baby and the
-    # baby values are pairwise distinct.
-    srt = np.argsort(baby)
-    sorted_baby = baby[srt]
-    mult = pow(2, n_baby, q)
-    y = 1
-    batch = np.empty(_GIANT_BATCH, dtype=np.uint64)
-    giants_done = 0
-    last_giant = limit // n_baby + 1
-    while giants_done * n_baby <= limit:
-        g = min(_GIANT_BATCH, last_giant - giants_done)
-        for b in range(g):
-            y = y * mult % q
-            batch[b] = y
-        pos = np.searchsorted(sorted_baby, batch[:g])
-        pos[pos == n_baby] = 0
-        hits = np.flatnonzero(sorted_baby[pos] == batch[:g])
-        if hits.size:
-            h = int(hits[0])
-            n = (giants_done + h + 1) * n_baby - int(srt[pos[h]])
-            return n if n <= limit else None
-        giants_done += g
-    return None
-
-
 def _order(q: int) -> int:
-    n = _order_search(q, q - 1)
-    assert n is not None  # the order of 2 divides lambda(q) <= q - 1
+    """Order of 2 mod odd q >= 3, from its multiple lambda(q) (Cohen, GTM 138, 1.4).
+
+    Each prime r of n = lambda(q) is divided out while 2**(n/r) = 1 (mod q).
+    """
+    n = 1
+    for p, e in factor(q).items():
+        n = math.lcm(n, p ** (e - 1) * (p - 1))
+    for r in factor(n):
+        while n % r == 0 and pow(2, n // r, q) == 1:
+            n //= r
     return n
 
 
@@ -267,8 +233,9 @@ def _word_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """LUTs over 16-bit words of the wrap stream, built from byte tables.
 
     Words are read most significant bit first (chronological order).  Returns
-    (gap, lead, trail): gap[w] is the histogram of distances between adjacent
-    set bits inside w, lead/trail the zero runs at its ends (16 for w = 0).
+    (gap, lead, trail): gap[:, w] is the histogram of distances between
+    adjacent set bits inside w, lead/trail the zero runs at its ends (16 for
+    w = 0).
     """
     global _WORD_TABLES
     if _WORD_TABLES is not None:
@@ -287,12 +254,12 @@ def _word_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     lo = w & 255
     lead = np.where(hi > 0, lead8[hi], 8 + lead8[lo])
     trail = np.where(lo > 0, trail8[lo], 8 + trail8[hi])
-    gap = np.zeros((65536, 17), dtype=np.int64)
-    gap[:, :9] += gap8[hi]
-    gap[:, :9] += gap8[lo]
+    gap = np.zeros((17, 65536), dtype=np.int64)
+    gap[:9] += gap8[hi].T
+    gap[:9] += gap8[lo].T
     both = (hi > 0) & (lo > 0)
     cross = trail8[hi] + lead8[lo] + 1
-    np.add.at(gap, (w[both], cross[both]), 1)
+    np.add.at(gap, (cross[both], w[both]), 1)
     _WORD_TABLES = (gap, lead, trail)
     return _WORD_TABLES
 
@@ -330,7 +297,7 @@ def _flight_counts_stream(q: int, n: int) -> np.ndarray:
                 raise ArithmeticError(f"flying time above 64 in orbit of 1 mod {q}")
             counts[first - prev] += 1
             prev = done + int(nz[-1]) * 16 + 15 - int(trail[-1])
-    counts[:17] += word_hist @ gap_lut
+    counts[:17] += gap_lut @ word_hist
     return counts
 
 
@@ -338,8 +305,8 @@ def period_of(q: int) -> PeriodResult:
     """Period of 1/q under the doubling map, for any odd q >= 3.
 
     q = 3 is the constant-period-2 special case.  q below 2**16 run the
-    stepping algorithm period_hybrid; larger q the order search and the
-    wrap-bit stream, which return the identical result far faster.
+    stepping algorithm period_hybrid; larger q the order from factor(q) and
+    the wrap-bit stream, which return the identical result far faster.
     """
     _check_modulus(q)
     if q == 3:
@@ -355,8 +322,8 @@ def period_capped(q: int, cap: int) -> Optional[PeriodResult]:
     _check_modulus(q)
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    n = _order_search(q, min(cap, q - 1))
-    if n is None:
+    n = _order(q)
+    if n > cap:
         return None
     return PeriodResult(q, n, _count_reductions(q, n))
 

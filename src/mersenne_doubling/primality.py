@@ -1,8 +1,10 @@
-"""Deterministic primality via a sieved table of odd primes.
+"""The 64-bit arithmetic kernel and the sieved table of odd primes.
 
-A table sieved up to B decides primality for every n <= B*B: table lookup
-below B, trial division by table primes up to sqrt(n) above it.  The default
-bound of two million gives capacity 4e12 in well under a second of startup.
+is_prime64 is Miller-Rabin to the first twelve prime bases, exact below
+psi_12 ~ 3.18e23 and so for every n < 2**64 (Sorenson & Webster, Math. Comp.
+86, 2017).  factor uses trial division below 1000, then Pollard rho.
+A table sieved up to B has capacity B*B, the largest n that is_prime decides;
+the default bound of two million gives 4e12 in well under a second.
 """
 
 from __future__ import annotations
@@ -10,7 +12,8 @@ from __future__ import annotations
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from math import isqrt
+from itertools import count
+from math import gcd, isqrt
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +25,63 @@ DEFAULT_PRIME_BOUND = 2_000_000
 _PTAB_MAGIC = b"PTAB"
 _PTAB_VERSION = 1
 _PTAB_HEADER = struct.Struct("<4sIQQ")  # magic, version, count, bound
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime64(n: int) -> bool:
+    """Whether 0 <= n < 2**64 is prime, by Miller-Rabin to the bases 2..37."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    s = (d & -d).bit_length() - 1  # n - 1 = d * 2**s with d odd
+    d >>= s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho(n: int) -> int:
+    """A proper divisor of the odd composite n, by Pollard rho with Floyd cycles."""
+    for c in count(1):
+        x = y = 2
+        d = 1
+        while d == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = gcd(x - y, n)
+        if d != n:
+            return d
+
+
+def factor(n: int) -> dict[int, int]:
+    """Prime factorisation {p: e} of 1 <= n < 2**64."""
+    factors: dict[int, int] = {}
+    for d in (2, *range(3, 1000, 2)):  # a composite d finds its primes gone
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if is_prime64(m):
+            factors[m] = factors.get(m, 0) + 1
+        else:
+            d = _rho(m)
+            pending += [d, m // d]
+    return factors
 
 
 @dataclass(frozen=True)
@@ -60,29 +120,18 @@ def build_prime_table(bound: int = DEFAULT_PRIME_BOUND) -> PrimeTable:
 
 
 def is_prime(n: int, table: PrimeTable) -> bool:
-    """Three-case primality check for 2 <= n <= table.bound**2.
+    """Primality of 2 <= n <= table.capacity, decided by is_prime64.
 
-    Even n are prime only for n = 2; odd n up to the bound are found by
-    binary search; odd n above it are composite exactly when some table
-    prime up to sqrt(n) divides them.
+    The table sets the range only: n above its capacity raises CapacityError.
     """
     if n < 2:
         raise ValueError(f"primality is decided for n >= 2, got {n}")
-    if n % 2 == 0:
-        return n == 2
-    if n <= table.bound:
-        return n in table
     if n > table.capacity:
         raise CapacityError(
             f"{n} exceeds the table capacity {table.capacity}; "
             f"rebuild with bound >= {isqrt(n) + 1}"
         )
-    root = isqrt(n)
-    primes = table.primes
-    for p in primes[: bisect_right(primes, root)]:
-        if n % p == 0:
-            return False
-    return True
+    return is_prime64(n)
 
 
 def save_prime_table(table: PrimeTable, path: str | Path) -> None:

@@ -107,9 +107,10 @@ def test_scan_single_point(prime_table):
 
 def test_scan_workers_deterministic(prime_table):
     sequential = scan_range(5, 399, prime_table, workers=1)
-    parallel = scan_range(5, 399, prime_table, workers=2)
-    for tag in STREAM_FILES:
-        assert sequential.stream(tag) == parallel.stream(tag)
+    for parallel in (scan_range(5, 399, prime_table, workers=2),
+                     scan_range(399, 5, prime_table, workers=2)):
+        for tag in STREAM_FILES:
+            assert sequential.stream(tag) == parallel.stream(tag)
 
 
 def test_scan_endpoint_validation(prime_table):

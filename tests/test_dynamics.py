@@ -1,6 +1,8 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from mersenne_doubling import (
@@ -18,8 +20,9 @@ from mersenne_doubling import (
 from mersenne_doubling.dynamics import (
     _count_reductions,
     _flight_counts_stream,
-    _order_search,
+    _order,
 )
+from mersenne_doubling.primality import factor, is_prime64
 
 
 # --- floor_log2 -----------------------------------------------------------
@@ -250,6 +253,7 @@ def test_period_capped_engine_paths():
     assert period_capped(4398046511103, 41) is None
     assert period_capped(4398046511101, 10**9) is None
     assert period_capped(4291783591, 143059453).period == 143059453
+    assert period_capped(2**64 - 59, 2**63) is None  # order 2**64 - 60
 
 
 def test_period_capped_matches_full_period():
@@ -327,17 +331,36 @@ def test_histogram_type_properties():
     assert hist.steps == 6
 
 
-# --- order search internals --------------------------------------------------
+# --- order of 2 -------------------------------------------------------------
 
-def test_order_search_respects_limit():
-    assert _order_search(13, 5) is None
-    assert _order_search(13, 12) == 12
-    assert _order_search(23, 31) == 11
-    assert _order_search(7, 3) == 3
-
-
-def test_order_search_matches_oracle():
+def test_order_matches_oracle():
     rng = random.Random(0x0D)
-    for _ in range(200):
-        q = rng.randrange(5, 1 << 17) | 1
-        assert _order_search(q, q - 1) == oracles.order_by_doubling(q)
+    qs = [*range(3, 1 << 12, 2), *(rng.randrange(5, 1 << 17) | 1 for _ in range(200))]
+    for q in qs:
+        assert _order(q) == oracles.order_by_doubling(q)
+
+
+def _next_prime(n: int) -> int:
+    while not is_prime64(n):
+        n += 1
+    return n
+
+
+_U32_PRIMES = st.integers(1 << 31, (1 << 32) - 1000).map(_next_prime)
+_ODD_Q64 = st.one_of(
+    st.integers(1, (1 << 63) - 1).map(lambda h: 2 * h + 1),
+    st.integers(1, 1 << 20).map(lambda k: (1 << 64) - 2 * k + 1),
+    st.tuples(_U32_PRIMES, _U32_PRIMES).map(lambda pq: pq[0] * pq[1]),
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_ODD_Q64)
+def test_order_certificate_64bit(q):
+    n = _order(q)
+    assert pow(2, n, q) == 1
+    primes = factor(n)
+    assert math.prod(p**e for p, e in primes.items()) == n
+    assert all(is_prime64(p) for p in primes)
+    for p in primes:
+        assert pow(2, n // p, q) != 1

@@ -1,4 +1,7 @@
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from mersenne_doubling import (
@@ -9,6 +12,7 @@ from mersenne_doubling import (
     load_prime_table,
     save_prime_table,
 )
+from mersenne_doubling.primality import factor, is_prime64
 
 
 def test_build_examples():
@@ -54,8 +58,9 @@ def test_is_prime_small_cases(prime_table):
 def test_is_prime_capacity_error():
     table = build_prime_table(1500)
     assert is_prime(1500 * 1500, table) is False  # exactly at capacity
-    with pytest.raises(CapacityError):
-        is_prime(1500 * 1500 + 1, table)
+    for n in (1500 * 1500 + 1, 1500 * 1500 + 2):
+        with pytest.raises(CapacityError):
+            is_prime(n, table)
 
 
 def test_is_prime_matches_trial_division(prime_table):
@@ -71,8 +76,8 @@ def test_results_independent_of_bound():
 
 
 def test_lookup_and_division_cases_agree():
-    # n in (1500, 40000] takes the trial-division case with the small table
-    # and the binary-search case with the large one.
+    # n in (1500, 40000] lie above the small table's bound and within the
+    # large one's.
     small = build_prime_table(1500)
     large = build_prime_table(40000)
     for n in range(1501, 40001, 2):
@@ -108,7 +113,7 @@ def test_table_file_roundtrip(tmp_path):
     loaded = load_prime_table(path)
     assert loaded.bound == table.bound
     assert loaded.primes == table.primes
-    assert is_prime(9999991, loaded) is True  # uses the trial-division case
+    assert is_prime(9999991, loaded) is True  # above the bound, within capacity
 
 
 def test_table_file_validation(tmp_path):
@@ -143,3 +148,29 @@ def test_prime_table_contains(prime_table):
     assert 1999993 in prime_table
     assert 9 not in prime_table
     assert 2 not in prime_table  # the table holds odd primes only
+
+
+# --- 64-bit kernel -----------------------------------------------------------
+
+def test_is_prime64_matches_trial_division():
+    for n in range(10**5):
+        assert is_prime64(n) == oracles.trial_division_is_prime(n)
+
+
+def test_is_prime64_reference_values():
+    assert is_prime64(3215031751) is False  # strong pseudoprime to bases 2, 3, 5, 7
+    assert is_prime64(3825123056546413051) is False  # ... to bases 2..23
+    assert is_prime64(2**61 - 1) is True
+    assert is_prime64(2**64 - 59) is True  # the largest prime below 2**64
+    assert is_prime64(2199023254451) is True
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.one_of(
+    st.integers(1, 2**64 - 1),
+    st.tuples(st.integers(2**31, 2**32 - 1), st.integers(2**31, 2**32 - 1)).map(math.prod),
+))
+def test_factor_multiplies_back_to_primes(n):
+    primes = factor(n)
+    assert math.prod(p**e for p, e in primes.items()) == n
+    assert all(is_prime64(p) for p in primes)
