@@ -39,8 +39,6 @@ from .primality import (
     PrimeTable,
     build_prime_table,
     is_prime,
-    load_prime_table,
-    save_prime_table,
 )
 
 __version__ = "0.1.0"
@@ -67,7 +65,6 @@ __all__ = [
     "is_complete_wrt_flying_times",
     "is_prime",
     "iter_candidates",
-    "load_prime_table",
     "period_capped",
     "period_hybrid",
     "period_naive",
@@ -75,7 +72,6 @@ __all__ = [
     "poincare_step_naive",
     "poincare_step_predictive",
     "run_census",
-    "save_prime_table",
     "scan_range",
     "segment_of",
     "sqrt_of_mersenne",

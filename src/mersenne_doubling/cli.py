@@ -37,7 +37,7 @@ _ENV_PREFIX = "MDBL_"
 # MDBL_<DESTINATION>, parsed according to the type of its default.
 _FLAGS = {
     "prime_bound": ("--prime-bound", dict(
-        type=int, help=f"sieve bound for the prime table (default {DEFAULT_PRIME_BOUND})"),
+        type=int, help=f"primality is decided up to its square (default {DEFAULT_PRIME_BOUND})"),
         DEFAULT_PRIME_BOUND),
     "threshold": ("--threshold", dict(
         type=int, help=f"large-period threshold (default {DEFAULT_LARGE_THRESHOLD})"),

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .dynamics import U64_MAX, floor_log2, period_of
+from .dynamics import U64_MAX, _check_modulus, floor_log2, period_of
 from .primality import PrimeTable, is_prime
 
 # Exponent of the largest known Mersenne prime; periods beyond it are "large".
@@ -109,12 +109,7 @@ def scan_range(
     sort makes the output deterministic regardless.
     """
     for endpoint in (q_lo, q_hi):
-        if endpoint % 2 == 0:
-            raise ValueError(f"scan endpoints must be odd, got {endpoint}")
-        if endpoint < 5:
-            raise ValueError(f"scan endpoints must be >= 5, got {endpoint}")
-        if endpoint > U64_MAX:
-            raise ValueError(f"scan endpoints must fit in 64 bits, got {endpoint}")
+        _check_modulus(endpoint, minimum=5)
     direction = "down" if q_lo > q_hi else "up"
     qs = range(q_lo, q_hi + 1, 2) if direction == "up" else range(q_lo, q_hi - 1, -2)
     if workers > 1:

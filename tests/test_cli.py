@@ -71,6 +71,10 @@ def test_is_prime_output(capsys):
     assert code == 0
     assert out == "n=2 verdict=prime\n"
 
+    code, out, _ = run_cli(capsys, "is-prime", 2**64 - 59, "--prime-bound", 2**32)
+    assert code == 0
+    assert out == "n=18446744073709551557 verdict=prime\n"
+
 
 def test_is_prime_capacity_exit_code(capsys):
     code, out, err = run_cli(capsys, "is-prime", 2_250_001, "--prime-bound", 1500)

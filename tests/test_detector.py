@@ -122,6 +122,8 @@ def test_scan_endpoint_validation(prime_table):
         scan_range(3, 9, prime_table)
     with pytest.raises(ValueError):
         scan_range(9, 2**64 + 1, prime_table)
+    with pytest.raises(ValueError):
+        scan_range(5.0, 99, prime_table)
 
 
 def test_write_report(tmp_path, prime_table):

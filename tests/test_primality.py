@@ -9,21 +9,20 @@ from mersenne_doubling import (
     PrimeTable,
     build_prime_table,
     is_prime,
-    load_prime_table,
-    save_prime_table,
 )
 from mersenne_doubling.primality import factor, is_prime64
 
 
 def test_build_examples():
-    assert build_prime_table(10).primes == [3, 5, 7]
-    assert build_prime_table(30).primes == [3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert build_prime_table(10) == PrimeTable(10)
+    assert build_prime_table(10).capacity == 100
+    full = build_prime_table(2**32)
+    assert full.capacity == 2**64
+    assert is_prime(2**64 - 59, full) is True  # the largest prime below 2**64
 
 
 def test_build_default_bound(prime_table):
-    assert prime_table.bound == 2_000_000
-    assert prime_table.primes[0] == 3
-    assert prime_table.primes[-1] == 1999993
+    assert prime_table == PrimeTable(2_000_000)
     assert prime_table.capacity == 4 * 10**12
 
 
@@ -31,11 +30,6 @@ def test_build_bound_validation():
     for bad in (2, 0, 2**32 + 1):
         with pytest.raises(ValueError):
             build_prime_table(bad)
-
-
-def test_table_is_strictly_increasing(prime_table):
-    primes = prime_table.primes
-    assert all(a < b for a, b in zip(primes, primes[1:]))
 
 
 def test_is_prime_large_reference_values(prime_table):
@@ -85,69 +79,15 @@ def test_lookup_and_division_cases_agree():
 
 
 def test_is_prime_minimal_bound_for_large_witness():
-    # Deciding 2199023254451 needs bound**2 to reach it: 1482911 is the
-    # smallest sufficient sieve bound.
+    # Deciding n needs bound**2 >= n; the CapacityError names the smallest
+    # such bound, and that bound decides n.
     big = 2199023254451
     assert is_prime(big, build_prime_table(1482911)) is True
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="bound >= 1482911$"):
         is_prime(big, build_prime_table(1482910))
-
-
-def test_table_file_layout(tmp_path):
-    # Fixed on-disk format: 4-byte magic, u32 version, u64 count, u64 bound,
-    # then the primes as little-endian u64 values.
-    path = tmp_path / "tiny.ptab"
-    save_prime_table(build_prime_table(10), path)
-    raw = path.read_bytes()
-    assert raw[:4] == b"PTAB"
-    assert raw[4:8] == (1).to_bytes(4, "little")
-    assert raw[8:16] == (3).to_bytes(8, "little")
-    assert raw[16:24] == (10).to_bytes(8, "little")
-    assert raw[24:] == b"".join(p.to_bytes(8, "little") for p in (3, 5, 7))
-
-
-def test_table_file_roundtrip(tmp_path):
-    table = build_prime_table(10000)
-    path = tmp_path / "primes.ptab"
-    save_prime_table(table, path)
-    loaded = load_prime_table(path)
-    assert loaded.bound == table.bound
-    assert loaded.primes == table.primes
-    assert is_prime(9999991, loaded) is True  # above the bound, within capacity
-
-
-def test_table_file_validation(tmp_path):
-    table = build_prime_table(100)
-    path = tmp_path / "primes.ptab"
-    save_prime_table(table, path)
-    raw = path.read_bytes()
-
-    bad_magic = tmp_path / "bad_magic.ptab"
-    bad_magic.write_bytes(b"XTAB" + raw[4:])
-    with pytest.raises(ValueError, match="magic"):
-        load_prime_table(bad_magic)
-
-    bad_version = tmp_path / "bad_version.ptab"
-    bad_version.write_bytes(raw[:4] + b"\x02\x00\x00\x00" + raw[8:])
-    with pytest.raises(ValueError, match="version"):
-        load_prime_table(bad_version)
-
-    truncated = tmp_path / "truncated.ptab"
-    truncated.write_bytes(raw[:-8])
-    with pytest.raises(ValueError, match="primes"):
-        load_prime_table(truncated)
-
-    with pytest.raises(ValueError, match="truncated"):
-        empty = tmp_path / "empty.ptab"
-        empty.write_bytes(b"PT")
-        load_prime_table(empty)
-
-
-def test_prime_table_contains(prime_table):
-    assert 3 in prime_table
-    assert 1999993 in prime_table
-    assert 9 not in prime_table
-    assert 2 not in prime_table  # the table holds odd primes only
+    with pytest.raises(CapacityError, match="bound >= 1501$"):
+        is_prime(1501 * 1501, build_prime_table(1500))
+    assert is_prime(1501 * 1501, build_prime_table(1501)) is False
 
 
 # --- 64-bit kernel -----------------------------------------------------------
