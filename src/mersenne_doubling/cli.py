@@ -110,9 +110,9 @@ def cmd_period(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    table = build_prime_table(args.prime_bound)
     report = scan_range(
-        args.q_lo, args.q_hi, table, large_threshold=args.threshold, workers=args.workers,
+        args.q_lo, args.q_hi, build_prime_table(), large_threshold=args.threshold,
+        workers=args.workers,
     )
     paths = write_report(report, args.out_dir)
     for tag in STREAM_FILES:
@@ -162,9 +162,13 @@ def cmd_mersenne_test(args: argparse.Namespace) -> int:
     for j, verdict in census.verdicts.items():
         rel = "<=" if (1 << j) - 1 <= census.sqrt_bound else ">"
         print(f"{j}\t{census.counts[j]}\t{rel}\t{'prime' if verdict else 'composite'}")
+    candidates = candidate_count(args.n0)
+    lane_steps = candidates * census.n0
+    ns_per_lane_step = elapsed * 1e9 / lane_steps if lane_steps else float("nan")
     print(
-        f"n0={census.n0} sqrt_bound={census.sqrt_bound} "
-        f"candidates={candidate_count(args.n0)} seconds={elapsed:.3f}",
+        f"n0={census.n0} sqrt_bound={census.sqrt_bound} candidates={candidates} "
+        f"lane_steps={lane_steps} ns_per_lane_step={ns_per_lane_step:.2f} "
+        f"seconds={elapsed:.3f}",
         file=sys.stderr,
     )
     return 0
@@ -216,7 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("q", type=int)
 
     p = command("scan", cmd_scan, "periods of every odd q in a range, classified",
-                "prime_bound", "threshold", "workers", "out_dir")
+                "threshold", "workers", "out_dir")
     p.add_argument("q_lo", type=int)
     p.add_argument("q_hi", type=int)
 

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Optional
 
 from .dynamics import U64_MAX, _check_modulus, floor_log2, period_of
-from .primality import PrimeTable, is_prime
+from .primality import PrimeTable, is_prime, is_prime64
 
 # Exponent of the largest known Mersenne prime; periods beyond it are "large".
 DEFAULT_LARGE_THRESHOLD = 136_279_841
@@ -81,11 +81,15 @@ def classify(
     table: PrimeTable,
     large_threshold: int = DEFAULT_LARGE_THRESHOLD,
 ) -> str:
-    """Stream tag for a record: even, odd-nonprime, or small/large prime period."""
+    """Stream tag for a record: even, odd-nonprime, or small/large prime period.
+
+    The period is decided by is_prime64, exact for every period below 2**64,
+    so a prime period above table.capacity is classified like any other.
+    """
     period = record.period
     if period % 2 == 0:
         return STREAM_EVEN
-    if not is_prime(period, table):
+    if not is_prime64(period):
         return STREAM_ODD_NONPRIME
     return STREAM_LARGE_PRIME if period > large_threshold else STREAM_SMALL_PRIME
 

@@ -12,6 +12,7 @@ from mersenne_doubling import (
     run_census,
     sqrt_of_mersenne,
 )
+from mersenne_doubling import census
 from mersenne_doubling.census import (
     REASON_MULTIPLE,
     REASON_NO_WITNESS,
@@ -127,9 +128,53 @@ def test_census_filter_loses_no_divisor():
 
 
 def test_census_workers_deterministic():
-    solo = run_census(31, workers=1)
-    duo = run_census(31, workers=2, chunk=1000)
-    assert solo == duo
+    # n0=31 and n0=41 stay in-process; n0=47 goes to the pool.
+    for n0 in (31, 41, 47):
+        assert run_census(n0, workers=1) == run_census(n0, workers=2)
+
+
+def test_census_block_lanes_above_2_63():
+    # uint64 lanes with q > 2**63, where 2r itself wraps: each q is tallied
+    # once, at its order.
+    for q, order in (
+        (10540996613548315209, 66),
+        (9295997013522923649, 70),
+        (9241421688590303745, 72),
+    ):
+        v = census._census_block(q, 1, 127)
+        assert v[order] == 1 and v.sum() == 1, q
+
+
+def _capped_tally(qs, n0):
+    expected = [0] * (n0 + 1)
+    for q in qs:
+        result = period_capped(q, n0)
+        if result is not None:
+            expected[result.period] += 1
+    return expected
+
+
+def test_census_chunk_and_dtype_boundaries(monkeypatch):
+    n0_31 = run_census(31)
+    monkeypatch.setattr(census, "_LANE_CHUNK", 7)
+    assert run_census(31) == n0_31
+    counts = run_census(17).counts
+    assert counts == {j: c for j, c in enumerate(_capped_tally(iter_candidates(17), 17)) if j >= 3}
+    # Windows of 40 lanes, in chunks of 7: the top lanes under the bound of
+    # n0=61 (uint32, 2r above 2**31) and of n0=67 (uint64), the top uint32
+    # lanes (last q = 2**32 - 1, period 32), and windows around q with
+    # period <= n0 a million lanes below those bounds.
+    windows = [
+        (61, sqrt_of_mersenne(61) - 8 * 39),
+        (67, 2**32 - 1 - 8 * 39),
+        (61, 1509346321 - 8 * 20),  # period 45
+        (61, 1509176295 - 8 * 20),  # period 60
+        (67, sqrt_of_mersenne(67) - 8 * 39),
+        (67, 12135901505 - 8 * 20),  # period 60
+    ]
+    for n0, first in windows:
+        qs = range(first, first + 8 * 40, 8)
+        assert list(census._census_block(first, 40, n0)) == _capped_tally(qs, n0), (n0, first)
 
 
 def test_census_multiple_witnesses_mean_composite():

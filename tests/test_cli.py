@@ -137,12 +137,14 @@ def test_mersenne_test_output(capsys):
     assert "11\t3\t<=\tcomposite" in lines
     assert "31\t0\t>\tprime" in lines
     assert "n0=31 sqrt_bound=46340 candidates=11584" in err
+    assert re.search(r" lane_steps=359104 ns_per_lane_step=\d+\.\d\d seconds=", err)
 
 
 def test_mersenne_test_tiny(capsys):
-    code, out, _ = run_cli(capsys, "mersenne-test", 3, "--workers", 1)
+    code, out, err = run_cli(capsys, "mersenne-test", 3, "--workers", 1)
     assert code == 0
     assert out.splitlines()[2] == "3\t0\t>\tprime"
+    assert "candidates=0 lane_steps=0 ns_per_lane_step=nan" in err
 
 
 def test_mersenne_test_errors(capsys):
@@ -224,9 +226,13 @@ def test_commands_take_only_their_own_flags(capsys, monkeypatch, tmp_path):
     code, out, _ = run_cli(capsys, "period", 5)
     assert code == 0
     assert out.startswith("q=5 period=4")
+    monkeypatch.setenv("MDBL_PRIME_BOUND", "1")  # invalid, and not read by scan
+    monkeypatch.setenv("MDBL_OUT_DIR", str(tmp_path))
+    assert run_cli(capsys, "scan", 5, 9, "--workers", 1)[0] == 0
     # A flag the subcommand does not read is a usage error.
     assert run_cli(capsys, "histogram", 13, "--l-max", 5)[0] == 2
     assert run_cli(capsys, "histogram", 13, "--out-dir", tmp_path)[0] == 2
+    assert run_cli(capsys, "scan", 5, 9, "--prime-bound", 100)[0] == 2
     assert run_cli(capsys, "period", 5, "--kappa", 2)[0] == 2
 
 

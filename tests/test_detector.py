@@ -3,6 +3,7 @@ import pytest
 import oracles
 from mersenne_doubling import (
     PeriodRecord,
+    build_prime_table,
     classify,
     find_divisor_of_mersenne,
     scan_range,
@@ -39,6 +40,12 @@ def test_classify_examples(prime_table):
     assert classify(PeriodRecord(3, 7, 3), prime_table) == STREAM_SMALL_PRIME
     # 73 divides 2**9 - 1 = 511, so its period 9 is odd and composite
     assert classify(PeriodRecord(7, 73, 9), prime_table) == STREAM_ODD_NONPRIME
+
+
+def test_classify_beyond_table_capacity():
+    # The period 1000003 is prime and above the capacity 10**6 of a bound-1000
+    # table; classify reads only the period.
+    assert classify(PeriodRecord(3, 7, 1000003), build_prime_table(1000)) == STREAM_SMALL_PRIME
 
 
 def test_classify_threshold_boundary(prime_table):
