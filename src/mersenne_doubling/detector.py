@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .dynamics import U64_MAX, _check_modulus, floor_log2, period_of
+from .dynamics import U64_MAX, _check_modulus, _order, floor_log2
+from .dynamics import period_of  # unused here; perfbench/tracing.PATCHES wraps it by name
 from .primality import PrimeTable, is_prime, is_prime64
 
 # Exponent of the largest known Mersenne prime; periods beyond it are "large".
@@ -76,15 +77,10 @@ class ScanReport:
         return {tag: len(self.stream(tag)) for tag in STREAM_FILES}
 
 
-def classify(
-    record: PeriodRecord,
-    table: PrimeTable,
-    large_threshold: int = DEFAULT_LARGE_THRESHOLD,
-) -> str:
+def classify(record: PeriodRecord, large_threshold: int = DEFAULT_LARGE_THRESHOLD) -> str:
     """Stream tag for a record: even, odd-nonprime, or small/large prime period.
 
-    The period is decided by is_prime64, exact for every period below 2**64,
-    so a prime period above table.capacity is classified like any other.
+    The period is decided by is_prime64, exact for every period below 2**64.
     """
     period = record.period
     if period % 2 == 0:
@@ -95,7 +91,7 @@ def classify(
 
 
 def _scan_chunk(qs: range) -> list[tuple[int, int]]:
-    return [(q, period_of(q).period) for q in qs]
+    return [(q, _order(q)) for q in qs]
 
 
 def scan_range(
@@ -107,8 +103,9 @@ def scan_range(
 ) -> ScanReport:
     """Periods of every odd q between the endpoints (inclusive), classified.
 
-    A first endpoint above the second scans downwards; the resulting record
-    set is the same either way.  With workers > 1 the q, in scan order, are
+    Each period is the order of 2 mod q alone; table is not read.  A first
+    endpoint above the second scans downwards; the resulting record set is
+    the same either way.  With workers > 1 the q, in scan order, are
     split into contiguous chunks computed in separate processes; the final
     sort makes the output deterministic regardless.
     """
@@ -127,7 +124,7 @@ def scan_range(
     report = ScanReport(q_lo, q_hi, direction, large_threshold)
     for q, period in pairs:
         record = PeriodRecord(segment_of(q), q, period)
-        report.stream(classify(record, table, large_threshold)).append(record)
+        report.stream(classify(record, large_threshold)).append(record)
     for tag in (STREAM_LARGE_PRIME, STREAM_SMALL_PRIME, STREAM_ODD_NONPRIME):
         report.stream(tag).sort(key=lambda rec: (rec.period, rec.q))
     report.even.sort(key=lambda rec: rec.q)

@@ -175,17 +175,15 @@ def period_hybrid(q: int, kappa: int = DEFAULT_KAPPA) -> PeriodResult:
 # ---------------------------------------------------------------------------
 # Order and wrap-bit stream.
 #
-# The period is the order of 2 mod q (_order).  Steps and flying times come
-# from replaying its n doublings in blocks: k doublings from residue x are
-# one divmod, x << k = quotient * q + new_x, whose quotient has a set bit at
-# every doubling that wrapped past q.  Steps = popcount, flying times = gaps
-# between set bits.
+# The period is the order of 2 mod q (_order), for every odd q >= 3:
+# period_of, period_capped and flying_time_histogram all start from it, and
+# the scan reads nothing else.  Steps and flying times come from replaying its
+# n doublings in blocks: k doublings from residue x are one divmod,
+# x << k = quotient * q + new_x, whose quotient has a set bit at every
+# doubling that wrapped past q.  Steps = popcount, flying times = gaps between
+# set bits.
 # ---------------------------------------------------------------------------
 
-# period_of keeps q below this on period_hybrid.  Sending them to _order and
-# the stream cut the scan's op_ms_p50 tenfold but raised its op_ms_tail 5-15%
-# (3.6x in another set): the tail then sits on mid q streaming unread steps.
-_ENGINE_MIN_Q = 1 << 16
 _STREAM_BLOCK = 1 << 18     # doublings per divmod block; multiple of 16
 
 
@@ -304,15 +302,11 @@ def _flight_counts_stream(q: int, n: int) -> np.ndarray:
 def period_of(q: int) -> PeriodResult:
     """Period of 1/q under the doubling map, for any odd q >= 3.
 
-    q = 3 is the constant-period-2 special case.  q below 2**16 run the
-    stepping algorithm period_hybrid; larger q the order from factor(q) and
-    the wrap-bit stream, which return the identical result far faster.
+    The period is the order of 2 from factor(q), the steps the wrapped
+    doublings of the stream; both equal what the stepping algorithms above
+    return, which the tests hold them to.
     """
     _check_modulus(q)
-    if q == 3:
-        return PeriodResult(3, 2, 1)
-    if q < _ENGINE_MIN_Q:
-        return period_hybrid(q)
     n = _order(q)
     return PeriodResult(q, n, _count_reductions(q, n))
 

@@ -1,2 +1,2 @@
 class CapacityError(ValueError):
-    """Input exceeds what the current configuration can decide (rebuild with larger bounds)."""
+    """Input exceeds what the current configuration can decide (use a larger bound)."""

@@ -18,6 +18,7 @@ from .errors import CapacityError
 DEFAULT_PRIME_BOUND = 2_000_000
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_TRIAL_DIVISORS = (2, *range(3, 1000, 2))  # a composite d finds its primes gone
 
 
 def is_prime64(n: int) -> bool:
@@ -60,7 +61,9 @@ def _rho(n: int) -> int:
 def factor(n: int) -> dict[int, int]:
     """Prime factorisation {p: e} of 1 <= n < 2**64."""
     factors: dict[int, int] = {}
-    for d in (2, *range(3, 1000, 2)):  # a composite d finds its primes gone
+    for d in _TRIAL_DIVISORS:
+        if d * d > n:  # what is left is 1 or prime
+            break
         while n % d == 0:
             factors[d] = factors.get(d, 0) + 1
             n //= d

@@ -121,6 +121,14 @@ def test_scan_direction_same_files(capsys, tmp_path):
         assert (up_dir / name).read_bytes() == (down_dir / name).read_bytes()
 
 
+def test_scan_largest_prime_below_2_64(capsys, tmp_path):
+    q = 2**64 - 59
+    assert run_cli(capsys, "scan", q, q, "--out-dir", tmp_path, "--workers", 1)[0] == 0
+    rows = [line.split("\t") for path in sorted(tmp_path.iterdir())
+            for line in path.read_text().splitlines()]
+    assert [row[1] for row in rows] == [str(q)]
+
+
 def test_scan_usage_error(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "scan", 4, 10, "--out-dir", tmp_path)
     assert code == 2

@@ -1,11 +1,14 @@
+import importlib
+from pathlib import Path
+
 import pytest
 
 import oracles
 from mersenne_doubling import (
     PeriodRecord,
-    build_prime_table,
     classify,
     find_divisor_of_mersenne,
+    period_of,
     scan_range,
     segment_of,
     write_report,
@@ -34,24 +37,24 @@ def test_period_record_validation():
         PeriodRecord(3, 5, 0)
 
 
-def test_classify_examples(prime_table):
-    assert classify(PeriodRecord(42, 4398046508903, 2199023254451), prime_table) == STREAM_LARGE_PRIME
-    assert classify(PeriodRecord(42, 4398046511103, 42), prime_table) == STREAM_EVEN
-    assert classify(PeriodRecord(3, 7, 3), prime_table) == STREAM_SMALL_PRIME
+def test_classify_examples():
+    assert classify(PeriodRecord(42, 4398046508903, 2199023254451)) == STREAM_LARGE_PRIME
+    assert classify(PeriodRecord(42, 4398046511103, 42)) == STREAM_EVEN
+    assert classify(PeriodRecord(3, 7, 3)) == STREAM_SMALL_PRIME
     # 73 divides 2**9 - 1 = 511, so its period 9 is odd and composite
-    assert classify(PeriodRecord(7, 73, 9), prime_table) == STREAM_ODD_NONPRIME
+    assert classify(PeriodRecord(7, 73, 9)) == STREAM_ODD_NONPRIME
 
 
 def test_classify_beyond_table_capacity():
     # The period 1000003 is prime and above the capacity 10**6 of a bound-1000
-    # table; classify reads only the period.
-    assert classify(PeriodRecord(3, 7, 1000003), build_prime_table(1000)) == STREAM_SMALL_PRIME
+    # table; classify decides it without any table.
+    assert classify(PeriodRecord(3, 7, 1000003)) == STREAM_SMALL_PRIME
 
 
-def test_classify_threshold_boundary(prime_table):
+def test_classify_threshold_boundary():
     record = PeriodRecord(3, 7, 3)
-    assert classify(record, prime_table, large_threshold=3) == STREAM_SMALL_PRIME
-    assert classify(record, prime_table, large_threshold=2) == STREAM_LARGE_PRIME
+    assert classify(record, large_threshold=3) == STREAM_SMALL_PRIME
+    assert classify(record, large_threshold=2) == STREAM_LARGE_PRIME
 
 
 def test_scan_small_range(prime_table):
@@ -84,6 +87,28 @@ def test_scan_matches_oracle(prime_table):
         for rec in report.stream(tag):
             assert rec.period == oracles.order_by_doubling(rec.q)
             assert rec.segment == rec.q.bit_length()
+
+
+def _scan_periods(q_lo, q_hi, table):
+    report = scan_range(q_lo, q_hi, table)
+    return {rec.q: rec.period for tag in STREAM_FILES for rec in report.stream(tag)}
+
+
+def test_scan_matches_independent_periods(monkeypatch, prime_table):
+    # The scan computes the order of 2 only; period_of also replays the orbit
+    # for its steps, and perfbench/check.py certifies a period with its own
+    # factoring and prime test.
+    for q_lo, q_hi in ((2**16 - 2**8 + 1, 2**16 + 2**8 - 1), (2**32 + 1, 2**32 + 63)):
+        periods = _scan_periods(q_lo, q_hi, prime_table)
+        assert sorted(periods) == list(range(q_lo, q_hi + 1, 2))
+        for q, period in periods.items():
+            assert period == period_of(q).period, q
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    check = importlib.import_module("check")
+    periods = _scan_periods(2**64 - 127, 2**64 - 1, prime_table)
+    assert len(periods) == 64 and 2**64 - 59 in periods
+    for q, period in periods.items():
+        assert check.period_ok(q, period), q
 
 
 def test_scan_prime_streams_are_divisor_witnesses(prime_table):

@@ -186,7 +186,9 @@ def test_engine_matches_stepping():
 
 
 def test_routing_boundary_matches_oracles():
-    # period_of and flying_time_histogram change backend at q = 2**16.
+    # period_of and flying_time_histogram take one path for every q; this
+    # window around 2**16 (the name is kept so the test id stays stable) holds
+    # both to the stepping and flying-time oracles.
     for q in range(2**16 - 2**9 + 1, 2**16 + 2**9, 2):
         assert period_of(q) == period_naive(q)
         times = oracles.flying_times_exact(q)

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from mersenne_doubling import (
@@ -110,6 +110,15 @@ def test_is_prime64_reference_values():
     st.integers(1, 2**64 - 1),
     st.tuples(st.integers(2**31, 2**32 - 1), st.integers(2**31, 2**32 - 1)).map(math.prod),
 ))
+# Around the end of trial division: d * d > n, d = 997 and the first prime past it.
+@example(1)
+@example(2)
+@example(4)
+@example(997**2)
+@example(991 * 997)
+@example(997 * 1009)
+@example(1009**2)
+@example(2 * 3 * 997**2)
 def test_factor_multiplies_back_to_primes(n):
     primes = factor(n)
     assert math.prod(p**e for p, e in primes.items()) == n
