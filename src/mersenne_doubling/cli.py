@@ -25,7 +25,7 @@ from .detector import (
     scan_range,
     write_report,
 )
-from .dynamics import _check_kappa, flying_time_histogram, period_hybrid, period_of
+from .dynamics import _check_kappa, _lane_bits, flying_time_histogram, period_hybrid, period_of
 from .errors import CapacityError
 from .primality import DEFAULT_PRIME_BOUND, build_prime_table, is_prime
 
@@ -98,6 +98,16 @@ def _parse_kappa_range(text: str) -> list[int]:
     return _parse_int_list(text)
 
 
+def _report_stream(q: int, period: int, elapsed: float) -> None:
+    """One stderr summary line for a command that streamed the period's doublings."""
+    path = "lanes" if _lane_bits(q, period) else "bigint"
+    print(
+        f"q={q} period={period} path={path} doublings={period} "
+        f"ns_per_doubling={elapsed * 1e9 / period:.3f} seconds={elapsed:.6f}",
+        file=sys.stderr,
+    )
+
+
 def cmd_period(args: argparse.Namespace) -> int:
     start = perf_counter()
     result = period_of(args.q)
@@ -106,6 +116,7 @@ def cmd_period(args: argparse.Namespace) -> int:
         print(f"{args.q}\t{result.period}\t{result.steps}\t{elapsed:.6f}")
     else:
         print(f"q={args.q} period={result.period} steps={result.steps} seconds={elapsed:.6f}")
+    _report_stream(args.q, result.period, elapsed)
     return 0
 
 
@@ -121,9 +132,12 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_histogram(args: argparse.Namespace) -> int:
+    start = perf_counter()
     hist = flying_time_histogram(args.q)
+    elapsed = perf_counter() - start
     for t, count in hist.counts.items():
         print(f"{t}\t{count}")
+    _report_stream(args.q, hist.period, elapsed)
     return 0
 
 

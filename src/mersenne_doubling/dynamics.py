@@ -177,14 +177,47 @@ def period_hybrid(q: int, kappa: int = DEFAULT_KAPPA) -> PeriodResult:
 #
 # The period is the order of 2 mod q (_order), for every odd q >= 3:
 # period_of, period_capped and flying_time_histogram all start from it, and
-# the scan reads nothing else.  Steps and flying times come from replaying its
-# n doublings in blocks: k doublings from residue x are one divmod,
-# x << k = quotient * q + new_x, whose quotient has a set bit at every
+# the scan reads nothing else.  Steps and flying times come from the wrap bits
+# of its n doublings: k doublings from residue x are one division,
+# x << k = digit * q + new_x, whose quotient digit has a set bit at every
 # doubling that wrapped past q.  Steps = popcount, flying times = gaps between
 # set bits.
+#
+# Two streams produce the same digits.  The bigint stream (_wrap_blocks)
+# divides one Python int per block of _STREAM_BLOCK doublings; it serves
+# q >= 2**48 and short orbits, and it is the oracle the tests hold the lanes
+# to.  The lane stream (_lane_digits) splits the orbit into _LANES numpy
+# uint64 lanes that step independently from their start residues 2**(i*L*k)
+# (Knuth, TAOCP vol. 2, 4.3.1: each quotient digit needs only its own
+# remainder).  A step is t = r << k; d = t // q; r = t - d*q: uint64
+# floor_divide by a scalar costs about 0.8 ns an element, remainder about
+# 4 ns, so the remainder comes from the quotient (Lemire, Kaser & Kurz,
+# SPE 2019).  The bigint stream finishes the doublings after the last full
+# lane step.  _lane_bits picks the path for both readers.
 # ---------------------------------------------------------------------------
 
 _STREAM_BLOCK = 1 << 18     # doublings per divmod block; multiple of 16
+
+# Lanes stepped side by side, and lane steps per chunk.  On two shared
+# vCPUs, ns per doubling for count / histogram at k = 32 (q = 4291434391,
+# n = 1.4e8) and k = 16 (q = 8599306381, n = 1.3e8), best of three:
+#   2**12 lanes,  8 steps: 0.110 / 0.761 and 0.217 / 0.850
+#   2**13 lanes,  4 steps: 0.100 / 0.680 and 0.203 / 0.811
+#   2**13 lanes,  8 steps: 0.102 / 0.615 and 0.204 / 0.719
+#   2**13 lanes, 16 steps: 0.102 / 0.624 and 0.229 / 0.699
+#   2**14 lanes,  8 steps: 0.100 / 0.655 and 0.174 / 0.760
+# (bigint stream: about 0.8 / 2.7).  At 2**13 lanes and 8 steps the
+# histogram reader's chunk buffers take 1.9 MB.  The start residues cost
+# 0.1-0.3 us a lane.
+_LANES = 1 << 13
+_LANE_CHUNK = 8
+
+# Shortest orbit streamed in lanes.  Bigint time over lane time for count /
+# histogram, n a multiple of the order of q = 131213 (k = 32) and of
+# q = 8599306381 (k = 16): at 2.1e6 doublings 0.50 / 1.37 and 0.62 / 1.21,
+# at 4.2e6 0.83 / 1.51 and 1.03 / 1.65, at 8.4e6 1.31 / 2.30 and
+# 2.16 / 2.19.
+_LANE_MIN_DOUBLINGS = 1 << 22
 
 
 def _order(q: int) -> int:
@@ -201,15 +234,14 @@ def _order(q: int) -> int:
     return n
 
 
-def _wrap_blocks(q: int, n: int) -> Iterator[tuple[int, int, int]]:
-    """The n doublings of the orbit of 1 as (start, length, wrap bits) blocks.
+def _wrap_blocks(q: int, n: int, done: int = 0, x: int = 1) -> Iterator[tuple[int, int, int]]:
+    """Doublings done..n of the orbit of 1 as (start, length, wrap bits) blocks.
 
-    The wrap bits of a block are its divmod quotient, first doubling in the
-    most significant of its length bits.  Raises ArithmeticError after the
-    last block if the orbit has not returned to 1.
+    x is the residue 2**done mod q.  The wrap bits of a block are its divmod
+    quotient, first doubling in the most significant of its length bits.
+    Raises ArithmeticError after the last block if the orbit has not
+    returned to 1.
     """
-    x = 1
-    done = 0
     while done < n:
         k = min(_STREAM_BLOCK, n - done)
         quotient, x = divmod(x << k, q)
@@ -219,9 +251,69 @@ def _wrap_blocks(q: int, n: int) -> Iterator[tuple[int, int, int]]:
         raise ArithmeticError(f"orbit of 1 mod {q} did not close after {n} doublings")
 
 
+def _lane_bits(q: int, n: int) -> int:
+    """Digit width k of the lane stream for n doublings mod q, or 0 for the bigint stream.
+
+    A lane shifts its residue r < q left by k bits inside uint64, so k = 32
+    needs q < 2**32 and k = 16 needs q < 2**48.
+    """
+    k = 32 if q < 2**32 else 16 if q < 2**48 else 0
+    return k if n >= _LANE_MIN_DOUBLINGS and n >= k * _LANES else 0
+
+
+def _lane_starts(q: int, n: int, k: int) -> tuple[int, np.ndarray]:
+    """Steps per lane L and the _LANES + 1 residues 2**(i*L*k) mod q where lanes start.
+
+    The last residue is where the bigint stream takes over.
+    """
+    steps = n // k // _LANES
+    stride = pow(2, steps * k, q)
+    r = 1
+    starts = [r]
+    for _ in range(_LANES):
+        r = r * stride % q
+        starts.append(r)
+    return steps, np.array(starts, dtype=np.uint64)
+
+
+def _lane_digits(q: int, k: int, steps: int, starts: np.ndarray) -> Iterator[np.ndarray]:
+    """The k-bit wrap-bit digits of every lane, in (lane steps, _LANES) chunks.
+
+    Row j of a chunk holds each lane's digit for its next k doublings.  A
+    chunk's buffer is refilled for the next chunk, so a reader may consume
+    it in place.  Raises ArithmeticError after the last chunk if a lane did
+    not end on the next lane's start residue.
+    """
+    divisor, shift = np.uint64(q), np.uint64(k)
+    r = starts[:-1].copy()
+    t = np.empty_like(r)
+    digits = np.empty((min(_LANE_CHUNK, steps), _LANES), dtype=np.uint64)
+    for first in range(0, steps, _LANE_CHUNK):
+        chunk = digits[:min(_LANE_CHUNK, steps - first)]
+        for d in chunk:
+            np.left_shift(r, shift, out=t)
+            np.floor_divide(t, divisor, out=d)
+            np.multiply(d, divisor, out=r)
+            np.subtract(t, r, out=r)
+        yield chunk
+    if not np.array_equal(r, starts[1:]):
+        raise ArithmeticError(f"a lane of the orbit of 1 mod {q} did not end on the next lane's start")
+
+
 def _count_reductions(q: int, n: int) -> int:
-    """Number of wrapped doublings among the n doublings closing the orbit of 1."""
-    return sum(quotient.bit_count() for _, _, quotient in _wrap_blocks(q, n))
+    """Number of wrapped doublings among the n doublings closing the orbit of 1.
+
+    The popcount of every lane digit, then of the bigint blocks after the
+    last lane step (all of them when _lane_bits picks the bigint stream).
+    """
+    done, x, total = 0, 1, 0
+    k = _lane_bits(q, n)
+    if k:
+        steps, starts = _lane_starts(q, n, k)
+        for chunk in _lane_digits(q, k, steps, starts):
+            total += int(np.bitwise_count(chunk).sum())
+        done, x = _LANES * steps * k, int(starts[-1])
+    return total + sum(quotient.bit_count() for _, _, quotient in _wrap_blocks(q, n, done, x))
 
 
 _WORD_TABLES: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
@@ -262,22 +354,86 @@ def _word_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _WORD_TABLES
 
 
+def _lane_flights(q: int, k: int, steps: int, starts: np.ndarray,
+                  counts: np.ndarray, word_hist: np.ndarray) -> None:
+    """Add the lanes' flights that cross 16-bit words to counts, their words to word_hist.
+
+    Each lane's digits are read as 16-bit words in time order; a row holds
+    one word of every lane.  A word's first and last set bits come from the
+    float32 exponent of w and of its lowest set bit w & -w (exact below
+    2**24).  A running maximum down the rows carries each lane's last set
+    bit across zero words and chunks, so the flight ending at a word's first
+    set bit is its distance to that carried bit.  Before a lane's first word
+    the last wrap lies ctz(start) doublings back: a doubling wrapped exactly
+    when the residue it produced is odd, since q is odd, and a residue
+    halves with every step back from an even one.  So a flight across a
+    lane join is counted once, in the later lane.
+    """
+    per_digit = k // 16
+    rows = min(_LANE_CHUNK, steps) * per_digit
+    words = np.empty((rows, _LANES), dtype=np.uint16)
+    zero = np.empty((rows, _LANES), dtype=bool)
+    exponent = np.empty((rows, _LANES), dtype=np.float32)
+    bits = exponent.view(np.int32)
+    first = np.empty((rows, _LANES), dtype=np.int16)
+    last = np.empty((rows + 1, _LANES), dtype=np.int16)  # row 0: carried from before the chunk
+    base = 16 * np.arange(rows, dtype=np.int32)[:, None] + 142  # 15 + float32 exponent bias
+    lane_starts = starts[:-1]
+    last[0] = -1 - np.bitwise_count(~lane_starts & (lane_starts - np.uint64(1))).astype(np.int16)
+    for chunk in _lane_digits(q, k, steps, starts):
+        n_rows = len(chunk) * per_digit
+        w, z, f, e, b = words[:n_rows], zero[:n_rows], first[:n_rows], exponent[:n_rows], bits[:n_rows]
+        lw = last[:n_rows + 1]
+        by_digit = w.reshape(len(chunk), per_digit, _LANES)
+        for h in reversed(range(per_digit)):  # low word last in time
+            np.copyto(by_digit[:, h], chunk, casting="unsafe")
+            np.right_shift(chunk, np.uint64(16), out=chunk)
+        np.equal(w, 0, out=z)
+        low = f.view(np.uint16)  # w & -w, until f takes the first set bits below
+        np.negative(w, out=low)
+        np.bitwise_and(low, w, out=low)
+        np.copyto(e, low)
+        np.right_shift(b, 23, out=b)
+        np.subtract(base[:n_rows], b, out=lw[1:])  # last set bit: 16 * row + 15 - ctz(w)
+        np.copyto(lw[1:], -(1 << 14), where=z)
+        np.copyto(e, w)
+        np.right_shift(b, 23, out=b)
+        np.subtract(base[:n_rows], b, out=f)  # first set bit: 16 * row + 15 - floor_log2(w)
+        for i in range(n_rows):
+            np.maximum(lw[i], lw[i + 1], out=lw[i + 1])
+        np.subtract(f, lw[:-1], out=f)
+        np.copyto(f, 0, where=z)
+        flights = np.bincount(f.ravel(), minlength=65)
+        np.subtract(lw[-1], 16 * n_rows, out=last[0])
+        if flights.size > 65 or last[0].min() < -64:
+            raise ArithmeticError(f"flying time above 64 in orbit of 1 mod {q}")
+        counts[1:] += flights[1:]
+        word_hist += np.bincount(w.ravel(), minlength=65536)
+
+
 def _flight_counts_stream(q: int, n: int) -> np.ndarray:
     """Histogram (index 1..64) of flying times over the n-doubling orbit of 1.
 
-    Streams the wrap bits block by block; gaps inside 16-bit words come from
-    lookup tables, gaps spanning words from the positions of the nonzero
-    words.  The step before a wrap is always the end of a flight, and the
+    Gaps inside 16-bit words come from lookup tables over the histogram of
+    the words.  Gaps spanning words come from _lane_flights for the lane
+    digits, then from the positions of the nonzero words of each bigint
+    block.  The step before a wrap is always the end of a flight, and the
     orbit closes on a wrap, so gaps between consecutive set bits (seeded at
     position -1) are exactly the flying times.
     """
     gap_lut, lead_lut, trail_lut = _word_tables()
     counts = np.zeros(65, dtype=np.int64)
     word_hist = np.zeros(65536, dtype=np.int64)
-    prev = -1
-    for done, k, quotient in _wrap_blocks(q, n):
-        n_words = (k + 15) >> 4
-        quotient <<= n_words * 16 - k  # right-pad the final partial word with zeros
+    done, x = 0, 1
+    k = _lane_bits(q, n)
+    if k:
+        steps, starts = _lane_starts(q, n, k)
+        _lane_flights(q, k, steps, starts, counts, word_hist)
+        done, x = _LANES * steps * k, int(starts[-1])
+    prev = done - (x & -x).bit_length()  # last wrap before the bigint stream, as above
+    for start, length, quotient in _wrap_blocks(q, n, done, x):
+        n_words = (length + 15) >> 4
+        quotient <<= n_words * 16 - length  # right-pad the final partial word with zeros
         words = np.frombuffer(quotient.to_bytes(n_words * 2, "big"), dtype=">u2")
         nz = np.flatnonzero(words)
         if nz.size:
@@ -290,11 +446,11 @@ def _flight_counts_stream(q: int, n: int) -> np.ndarray:
                 if int(span.max()) > 64:
                     raise ArithmeticError(f"flying time above 64 in orbit of 1 mod {q}")
                 counts += np.bincount(span, minlength=65)[:65]
-            first = done + int(nz[0]) * 16 + int(lead[0])
+            first = start + int(nz[0]) * 16 + int(lead[0])
             if first - prev > 64:
                 raise ArithmeticError(f"flying time above 64 in orbit of 1 mod {q}")
             counts[first - prev] += 1
-            prev = done + int(nz[-1]) * 16 + 15 - int(trail[-1])
+            prev = start + int(nz[-1]) * 16 + 15 - int(trail[-1])
     counts[:17] += gap_lut @ word_hist
     return counts
 

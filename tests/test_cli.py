@@ -58,6 +58,17 @@ def test_histogram_output(capsys):
     assert out == "1\t1\n3\t1\n"
 
 
+def test_period_and_histogram_report_stream_path(capsys):
+    # 4194371 is prime with order 4194370, above the lane cutoff.
+    for q, period, path in ((13, 12, "bigint"), (4194371, 4194370, "lanes")):
+        for command in ("period", "histogram"):
+            code, _, err = run_cli(capsys, command, q)
+            assert code == 0
+            assert re.fullmatch(
+                rf"q={q} period={period} path={path} doublings={period} "
+                r"ns_per_doubling=\d+\.\d{3} seconds=\d+\.\d{6}\n", err), (command, err)
+
+
 def test_is_prime_output(capsys):
     code, out, _ = run_cli(capsys, "is-prime", 143047813)
     assert code == 0

@@ -1,10 +1,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from mersenne_doubling import dynamics
 from mersenne_doubling import (
     FlyingTimeHistogram,
     floor_log2,
@@ -20,7 +22,9 @@ from mersenne_doubling import (
 from mersenne_doubling.dynamics import (
     _count_reductions,
     _flight_counts_stream,
+    _lane_bits,
     _order,
+    _wrap_blocks,
 )
 from mersenne_doubling.primality import factor, is_prime64
 
@@ -307,6 +311,120 @@ def test_histogram_stream_backend_matches_loop():
         arr = _flight_counts_stream(q, n)
         assert {t: int(arr[t]) for t in range(1, 65) if arr[t]} == expected
         assert _count_reductions(q, n) == len(times)
+
+
+# --- lane stream against the bigint stream ---------------------------------
+
+def _bigint_stream(monkeypatch, q, n):
+    """Steps and flight histogram from _wrap_blocks alone: the lanes' oracle."""
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "_LANE_MIN_DOUBLINGS", 1 << 64)
+        assert not _lane_bits(q, n)
+        return _count_reductions(q, n), _flight_counts_stream(q, n)
+
+
+def _shrink_lanes(monkeypatch, lanes, chunk):
+    monkeypatch.setattr(dynamics, "_LANES", lanes)
+    monkeypatch.setattr(dynamics, "_LANE_CHUNK", chunk)
+    monkeypatch.setattr(dynamics, "_LANE_MIN_DOUBLINGS", 0)
+
+
+def _assert_lanes_match(monkeypatch, q, n):
+    count, hist = _bigint_stream(monkeypatch, q, n)
+    assert _count_reductions(q, n) == count, q
+    assert np.array_equal(_flight_counts_stream(q, n), hist), q
+
+
+def test_lanes_match_bigint_on_stream_ranges(monkeypatch):
+    # The q of test_histogram_stream_backend_matches_loop, in 2 lanes of
+    # 2-step chunks, so that every orbit of 64 or more doublings takes the
+    # lanes and most of them cross chunk joins.
+    _shrink_lanes(monkeypatch, lanes=2, chunk=2)
+    rng = random.Random(0x57E)
+    qs = [*range(5, 502, 2), *(rng.randrange(1 << 16, 1 << 21) | 1 for _ in range(20))]
+    in_lanes = 0
+    for q in qs:
+        n = _order(q)
+        in_lanes += _lane_bits(q, n) == 32
+        _assert_lanes_match(monkeypatch, q, n)
+    assert in_lanes > len(qs) // 3
+
+
+def test_lanes_match_bigint_at_width_edges(monkeypatch):
+    # The largest q below and the smallest above 2**32 and 2**48, and q with
+    # orders in the thousands just beside 2**32 and below 2**48.  Any multiple
+    # of the order closes the orbit, so n takes a few thousand doublings.
+    edges = {
+        2**32 - 1: 32, 4294967261: 32, 4294967191: 32,
+        2**32 + 1: 16, 4294967439: 16, 4294968093: 16,
+        281472829358079: 16, 2**48 - 1: 16, 2**48 + 1: 0,
+    }
+    for q, k in edges.items():
+        m = _order(q)
+        n = m * -(-4000 // m)
+        for lanes, chunk in ((1, 1), (2, 3), (5, 2)):
+            _shrink_lanes(monkeypatch, lanes, chunk)
+            assert _lane_bits(q, n) == k
+            _assert_lanes_match(monkeypatch, q, n)
+
+
+def _wrap_positions(q, n):
+    bits = 0
+    for _, length, quotient in _wrap_blocks(q, n):
+        bits = bits << length | quotient
+    return [i for i, bit in enumerate(format(bits, f"0{n}b")) if bit == "1"]
+
+
+def test_lanes_carry_long_flights_across_joins(monkeypatch):
+    # Flights longer than 16 leave zero 16-bit words.  Each q here has such
+    # flights, and for each, some lane count and chunk length puts one across
+    # a lane join and one across a chunk join inside a lane.
+    for q in (2**32 - 1, 2**32 + 1, 2**48 - 1):
+        m = _order(q)
+        n = m * -(-3000 // m)
+        positions = _wrap_positions(q, n)
+        long_flights = [(a, b) for a, b in zip(positions, positions[1:]) if b - a > 16]
+        straddles = {"lane": 0, "chunk": 0}
+        for lanes, chunk in ((2, 1), (3, 2), (5, 1), (7, 3)):
+            _shrink_lanes(monkeypatch, lanes, chunk)
+            k = _lane_bits(q, n)
+            steps = n // k // lanes
+            joins = {
+                "lane": [i * steps * k for i in range(1, lanes + 1)],
+                "chunk": [(i * steps + c) * k for i in range(lanes) for c in range(chunk, steps, chunk)],
+            }
+            for kind, at in joins.items():
+                straddles[kind] += any(a < j <= b for a, b in long_flights for j in at)
+            _assert_lanes_match(monkeypatch, q, n)
+        assert straddles["lane"] and straddles["chunk"], q
+
+
+def test_lanes_at_the_cutoff():
+    # The real lane constants, for n just below and just above the cutoff.
+    # The stream of j * order doublings is the cycle j times over, so its
+    # steps and flights are j times those of one cycle, which stays on the
+    # bigint stream.
+    for q, k in ((131213, 32), (131213 * 65537, 16)):  # orders 131212, 1049696
+        m = _order(q)
+        count, hist = _count_reductions(q, m), _flight_counts_stream(q, m)
+        assert not _lane_bits(q, m)
+        below = m * ((dynamics._LANE_MIN_DOUBLINGS - 1) // m)
+        for n in (below, below + m):
+            assert _lane_bits(q, n) == (k if n >= dynamics._LANE_MIN_DOUBLINGS else 0)
+            assert _count_reductions(q, n) == n // m * count
+            assert np.array_equal(_flight_counts_stream(q, n), n // m * hist)
+
+
+def test_streams_raise_when_the_orbit_does_not_close():
+    # 4194371 is prime with order 4194370, above the lane cutoff.
+    for q, lanes in ((13, False), (4194371, True)):
+        m = _order(q)
+        for n in (m - 1, m + 1):
+            assert bool(_lane_bits(q, n)) == lanes
+            with pytest.raises(ArithmeticError):
+                _count_reductions(q, n)
+            with pytest.raises(ArithmeticError):
+                _flight_counts_stream(q, n)
 
 
 def test_histogram_zero_counts_omitted():
