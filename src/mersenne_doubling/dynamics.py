@@ -17,6 +17,7 @@ production range.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
@@ -181,7 +182,8 @@ def period_hybrid(q: int, kappa: int = DEFAULT_KAPPA) -> PeriodResult:
 # of its n doublings: k doublings from residue x are one division,
 # x << k = digit * q + new_x, whose quotient digit has a set bit at every
 # doubling that wrapped past q.  Steps = popcount, flying times = gaps between
-# set bits.
+# set bits: inside a 16-bit word from _gap_table, across words from each
+# word's first and last set bits, read off float32 exponents.
 #
 # Two streams produce the same digits.  The bigint stream (_wrap_blocks)
 # divides one Python int per block of _STREAM_BLOCK doublings; it serves
@@ -316,42 +318,24 @@ def _count_reductions(q: int, n: int) -> int:
     return total + sum(quotient.bit_count() for _, _, quotient in _wrap_blocks(q, n, done, x))
 
 
-_WORD_TABLES: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+@functools.cache
+def _gap_table() -> np.ndarray:
+    """gap[t, w]: pairs of adjacent set bits at distance t inside the 16-bit word w.
 
-
-def _word_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """LUTs over 16-bit words of the wrap stream, built from byte tables.
-
-    Words are read most significant bit first (chronological order).  Returns
-    (gap, lead, trail): gap[:, w] is the histogram of distances between
-    adjacent set bits inside w, lead/trail the zero runs at its ends (16 for
-    w = 0).
+    A pair at distance t is a set bit i with bit i + t set and bits
+    i + 1 .. i + t - 1 clear; between[w] keeps those clear bits as t grows.
+    No two bits of a 16-bit word lie 16 apart, so t < 16.  Counted in int32
+    and widened: freeing the 4 MB table lifts glibc's mmap and trim
+    thresholds above the buffers each histogram and census call allocates
+    (up to 4 MB), which otherwise fault back in on every call.
     """
-    global _WORD_TABLES
-    if _WORD_TABLES is not None:
-        return _WORD_TABLES
-    lead8 = np.full(256, 8, dtype=np.int64)
-    trail8 = np.full(256, 8, dtype=np.int64)
-    gap8 = np.zeros((256, 9), dtype=np.int64)
-    for v in range(1, 256):
-        bits = [i for i in range(8) if v & (0x80 >> i)]
-        lead8[v] = bits[0]
-        trail8[v] = 7 - bits[-1]
-        for a, b in zip(bits, bits[1:]):
-            gap8[v, b - a] += 1
-    w = np.arange(65536)
-    hi = w >> 8
-    lo = w & 255
-    lead = np.where(hi > 0, lead8[hi], 8 + lead8[lo])
-    trail = np.where(lo > 0, trail8[lo], 8 + trail8[hi])
-    gap = np.zeros((17, 65536), dtype=np.int64)
-    gap[:9] += gap8[hi].T
-    gap[:9] += gap8[lo].T
-    both = (hi > 0) & (lo > 0)
-    cross = trail8[hi] + lead8[lo] + 1
-    np.add.at(gap, (cross[both], w[both]), 1)
-    _WORD_TABLES = (gap, lead, trail)
-    return _WORD_TABLES
+    w = np.arange(65536, dtype=np.uint16)
+    gap = np.zeros((16, 65536), dtype=np.int32)
+    between = np.full_like(w, 0xFFFF)
+    for t in range(1, 16):
+        gap[t] = np.bitwise_count(w & (w >> t) & between)
+        between &= ~(w >> t)
+    return gap.astype(np.int64)
 
 
 def _lane_flights(q: int, k: int, steps: int, starts: np.ndarray,
@@ -361,13 +345,14 @@ def _lane_flights(q: int, k: int, steps: int, starts: np.ndarray,
     Each lane's digits are read as 16-bit words in time order; a row holds
     one word of every lane.  A word's first and last set bits come from the
     float32 exponent of w and of its lowest set bit w & -w (exact below
-    2**24).  A running maximum down the rows carries each lane's last set
-    bit across zero words and chunks, so the flight ending at a word's first
-    set bit is its distance to that carried bit.  Before a lane's first word
-    the last wrap lies ctz(start) doublings back: a doubling wrapped exactly
-    when the residue it produced is odd, since q is odd, and a residue
-    halves with every step back from an even one.  So a flight across a
-    lane join is counted once, in the later lane.
+    2**24), as in the bigint reader of _flight_counts_stream.  A running
+    maximum down the rows carries each lane's last set bit across zero words
+    and chunks, so the flight ending at a word's first set bit is its
+    distance to that carried bit.  Before a lane's first word the last wrap
+    lies ctz(start) doublings back: a doubling wrapped exactly when the
+    residue it produced is odd, since q is odd, and a residue halves with
+    every step back from an even one.  So a flight across a lane join is
+    counted once, in the later lane.
     """
     per_digit = k // 16
     rows = min(_LANE_CHUNK, steps) * per_digit
@@ -414,14 +399,14 @@ def _lane_flights(q: int, k: int, steps: int, starts: np.ndarray,
 def _flight_counts_stream(q: int, n: int) -> np.ndarray:
     """Histogram (index 1..64) of flying times over the n-doubling orbit of 1.
 
-    Gaps inside 16-bit words come from lookup tables over the histogram of
-    the words.  Gaps spanning words come from _lane_flights for the lane
-    digits, then from the positions of the nonzero words of each bigint
-    block.  The step before a wrap is always the end of a flight, and the
-    orbit closes on a wrap, so gaps between consecutive set bits (seeded at
-    position -1) are exactly the flying times.
+    Gaps inside 16-bit words come from _gap_table over the histogram of the
+    words.  Gaps spanning words come from _lane_flights for the lane digits,
+    then from each nonzero word of the bigint blocks: its first set bit less
+    the previous nonzero word's last, both from float32 exponents as in
+    _lane_flights.  The step before a wrap is always the end of a flight,
+    and the orbit closes on a wrap, so gaps between consecutive set bits are
+    exactly the flying times.
     """
-    gap_lut, lead_lut, trail_lut = _word_tables()
     counts = np.zeros(65, dtype=np.int64)
     word_hist = np.zeros(65536, dtype=np.int64)
     done, x = 0, 1
@@ -439,19 +424,17 @@ def _flight_counts_stream(q: int, n: int) -> np.ndarray:
         if nz.size:
             vals = words[nz].astype(np.int64)
             word_hist += np.bincount(vals, minlength=65536)
-            lead = lead_lut[vals]
-            trail = trail_lut[vals]
-            if nz.size > 1:
-                span = trail[:-1] + lead[1:] + (np.diff(nz) - 1) * 16 + 1
-                if int(span.max()) > 64:
-                    raise ArithmeticError(f"flying time above 64 in orbit of 1 mod {q}")
-                counts += np.bincount(span, minlength=65)[:65]
-            first = start + int(nz[0]) * 16 + int(lead[0])
-            if first - prev > 64:
+            at = 16 * nz + 142  # 15 + float32 exponent bias
+            first = at - (vals.astype(np.float32).view(np.int32) >> 23)
+            last = at - ((vals & -vals).astype(np.float32).view(np.int32) >> 23)
+            first[0] -= prev - start
+            first[1:] -= last[:-1]
+            flights = np.bincount(first, minlength=65)
+            if flights.size > 65:
                 raise ArithmeticError(f"flying time above 64 in orbit of 1 mod {q}")
-            counts[first - prev] += 1
-            prev = start + int(nz[-1]) * 16 + 15 - int(trail[-1])
-    counts[:17] += gap_lut @ word_hist
+            counts += flights
+            prev = start + int(last[-1])
+    counts[1:16] += _gap_table()[1:] @ word_hist  # row 0 is empty: no flight has length 0
     return counts
 
 

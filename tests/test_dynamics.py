@@ -313,6 +313,37 @@ def test_histogram_stream_backend_matches_loop():
         assert _count_reductions(q, n) == len(times)
 
 
+def test_gap_table_matches_definition():
+    # gap[t, w] counts the adjacent set bits of w that lie t apart.
+    expected = np.zeros((16, 65536), dtype=np.int64)
+    for w in range(65536):
+        bits = [i for i in range(16) if w >> i & 1]
+        for a, b in zip(bits, bits[1:]):
+            expected[b - a, w] += 1
+    assert np.array_equal(dynamics._gap_table(), expected)
+
+
+def test_flights_above_2_48_match_oracle(monkeypatch):
+    # q >= 2**48 take the bigint stream at every n.  Their flights of 49 to
+    # 64 doublings leave runs of zero words, and blocks of 16, 48 and 80
+    # doublings put block joins inside them, some blocks holding no wrap.
+    qs = (2**64 - 1, 2**61 - 1, 2**56 + 1, 2**49 - 1, (2**32 + 1) * (2**16 + 1), 2**48 + 1)
+    blocks = (16, 48, 80, dynamics._STREAM_BLOCK)
+    for q in qs:
+        times = oracles.flying_times_exact(q)
+        m = sum(times)
+        assert max(times) > 48
+        for block in blocks:
+            monkeypatch.setattr(dynamics, "_STREAM_BLOCK", block)
+            for j in (1, 3):
+                expected = np.zeros(65, dtype=np.int64)
+                for t in times:
+                    expected[t] += j
+                assert not _lane_bits(q, j * m)
+                assert _count_reductions(q, j * m) == j * len(times), (q, block, j)
+                assert np.array_equal(_flight_counts_stream(q, j * m), expected), (q, block, j)
+
+
 # --- lane stream against the bigint stream ---------------------------------
 
 def _bigint_stream(monkeypatch, q, n):
