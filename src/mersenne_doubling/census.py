@@ -32,8 +32,8 @@ REASON_MULTIPLE = "multiple-witnesses"
 _LANE_CHUNK = 1 << 16
 
 # Fewest candidates worth a process pool.  On two vCPUs, workers=2 against
-# in-process: n0=37 (93k candidates) 14.6 vs 5.6 ms, n0=41 (371k) 26.8 vs
-# 21.2 ms, n0=43 (741k) 43.1 vs 41.7 ms, n0=47 (3.0M) 102 vs 165 ms.
+# in-process: n0=37 (93k candidates) 15.0 vs 3.7 ms, n0=41 (371k) 22.9 vs
+# 13.6 ms, n0=43 (741k) 28.8 vs 23.0 ms, n0=47 (3.0M) 60.8 vs 84.0 ms.
 _POOL_MIN_LANES = 1 << 20
 
 
@@ -81,15 +81,23 @@ def _census_block(first_q: int, count: int, n0: int) -> np.ndarray:
 
     Lanes double in parallel, _LANE_CHUNK at a time in buffers allocated
     once, as uint32 when every q is below 2**32 and as uint64 otherwise.
-    With t = q - r, the next residue is min(r - t, r + min(r, t)) in
-    wrapping unsigned arithmetic: if 2r < q, r - t wraps above
-    r + min(r, t) = 2r; otherwise r - t = 2r - q < q = r + min(r, t).  No
-    sum exceeds q, so this is exact for every q < 2**w, where the shorter
-    min(2r, 2r - q) is not: 2r itself wraps once q > 2**(w-1).  A lane whose
+    Each chunk skips its known prefix: with k = floor(log2) of the chunk's
+    smallest q, every lane has 2**j < q for j <= k, so its residue after k
+    doublings is 2**k and none of the first k can be 1.  The chunk fills r
+    with 2**k and steps k+1..n0.
+
+    The step form is chosen per chunk from its largest q.  If that q is at
+    most 2**(w-1) for a lane width of w bits, then 2r < 2**w, and
+    s = 2r, t = s - q, r = min(s, t) is exact in wrapping unsigned
+    arithmetic: t wraps above s when 2r < q and is 2r - q < s otherwise.
+    Above that bound 2r itself wraps, and a chunk takes five passes instead:
+    with t = q - r, the next residue is min(r - t, r + min(r, t)); no sum
+    there exceeds q, so it is exact for every q < 2**w.  A lane whose
     residue first returns to 1 at step j contributes to v(j) and is then
-    parked at 0, which the doubling fixes, so it never counts again.
+    parked at 0, which both forms fix, so it never counts again.
     """
     dtype = np.uint32 if first_q + 8 * (count - 1) < 2**32 else np.uint64
+    half = 1 << (np.iinfo(dtype).bits - 1)
     size = min(_LANE_CHUNK, count)
     qs = first_q + 8 * np.arange(size, dtype=dtype)
     r, t, s = (np.empty(size, dtype=dtype) for _ in range(3))
@@ -99,13 +107,21 @@ def _census_block(first_q: int, count: int, n0: int) -> np.ndarray:
         n = min(_LANE_CHUNK, count - start)
         if n < size:
             qs, r, t, s, hit = (a[:n] for a in (qs, r, t, s, hit))
-        r.fill(1)
-        for j in range(1, n0 + 1):
-            np.subtract(qs, r, out=t)
-            np.minimum(r, t, out=s)
-            np.add(r, s, out=s)
-            np.subtract(r, t, out=r)
-            np.minimum(r, s, out=r)
+        q_lo = first_q + 8 * start
+        k = q_lo.bit_length() - 1
+        three_pass = q_lo + 8 * (n - 1) <= half
+        r.fill(1 << k)
+        for j in range(k + 1, n0 + 1):
+            if three_pass:
+                np.add(r, r, out=s)
+                np.subtract(s, qs, out=t)
+                np.minimum(s, t, out=r)
+            else:
+                np.subtract(qs, r, out=t)
+                np.minimum(r, t, out=s)
+                np.add(r, s, out=s)
+                np.subtract(r, t, out=r)
+                np.minimum(r, s, out=r)
             np.equal(r, 1, out=hit)
             found = np.count_nonzero(hit)
             if found:

@@ -41,6 +41,27 @@ def orders_by_doubling_vector(qs) -> np.ndarray:
     return out
 
 
+def first_returns_capped(qs, cap: int) -> np.ndarray:
+    """tally[j] = how many q in qs have order j <= cap, by doubling every lane from r = 1.
+
+    No prefix is skipped: each lane takes every one of its first cap steps,
+    and retires at its first return to 1.
+    """
+    qs = np.asarray(qs, dtype=np.uint64)
+    qh = (qs - 1) >> 1
+    r = np.ones_like(qs)
+    tally = np.zeros(cap + 1, dtype=np.int64)
+    for j in range(1, cap + 1):
+        r = np.where(r <= qh, r + r, r - (qs - r))
+        done = r == 1
+        found = int(np.count_nonzero(done))
+        if found:
+            tally[j] = found
+            keep = ~done
+            r, qs, qh = r[keep], qs[keep], qh[keep]
+    return tally
+
+
 def poincare_step_exact(r: int, q: int) -> tuple[int, int]:
     """Return-map step by exact integers: double r until it reaches q, subtract q."""
     v = r + r

@@ -1,5 +1,6 @@
 from math import isqrt
 
+import numpy as np
 import pytest
 
 import oracles
@@ -133,6 +134,16 @@ def test_census_workers_deterministic():
         assert run_census(n0, workers=1) == run_census(n0, workers=2)
 
 
+def test_census_counts_match_unskipped_lanes():
+    # Every lane of the oracle doubles from r = 1 through all n0 steps, so
+    # the census's start at 2**k is checked against steps it never takes.
+    for n0 in (41, 43):
+        qs = np.arange(3, sqrt_of_mersenne(n0) + 1, 2, dtype=np.uint64)
+        qs = qs[(qs % 8 == 1) | (qs % 8 == 7)]
+        tally = oracles.first_returns_capped(qs, n0)
+        assert run_census(n0).counts == {j: int(tally[j]) for j in range(3, n0 + 1)}, n0
+
+
 def test_census_block_lanes_above_2_63():
     # uint64 lanes with q > 2**63, where 2r itself wraps: each q is tallied
     # once, at its order.
@@ -158,8 +169,10 @@ def test_census_chunk_and_dtype_boundaries(monkeypatch):
     n0_31 = run_census(31)
     monkeypatch.setattr(census, "_LANE_CHUNK", 7)
     assert run_census(31) == n0_31
-    counts = run_census(17).counts
-    assert counts == {j: c for j, c in enumerate(_capped_tally(iter_candidates(17), 17)) if j >= 3}
+    # Each chunk of 7 starts from its own 2**k, k = floor(log2(smallest q)).
+    for n0 in (17, 31):
+        counts = run_census(n0).counts
+        assert counts == {j: c for j, c in enumerate(_capped_tally(iter_candidates(n0), n0)) if j >= 3}
     # Windows of 40 lanes, in chunks of 7: the top lanes under the bound of
     # n0=61 (uint32, 2r above 2**31) and of n0=67 (uint64), the top uint32
     # lanes (last q = 2**32 - 1, period 32), and windows around q with
@@ -171,6 +184,15 @@ def test_census_chunk_and_dtype_boundaries(monkeypatch):
         (61, 1509176295 - 8 * 20),  # period 60
         (67, sqrt_of_mersenne(67) - 8 * 39),
         (67, 12135901505 - 8 * 20),  # period 60
+        # The step form follows the chunk's largest q.  Lanes 14..20 of the
+        # first window end exactly at q = 2**31 - 1 (period 31) and take
+        # three passes; lanes 21..27, above 2**31, take five.  In the second,
+        # lanes 14..20 straddle 2**31 with q = 2**31 + 1 (period 62) inside
+        # and take five.  The same two windows at 2**63 in uint64.
+        (61, 2**31 - 1 - 8 * 20),
+        (67, 2**31 + 1 - 8 * 17),
+        (127, 2**63 - 1 - 8 * 20),  # 2**63 - 1 has period 63
+        (127, 2**63 + 1 - 8 * 17),  # 2**63 + 1 has period 126
     ]
     for n0, first in windows:
         qs = range(first, first + 8 * 40, 8)
@@ -189,3 +211,15 @@ def test_census_validation():
         run_census(9)
     with pytest.raises(CapacityError):
         run_census(131)
+
+
+@pytest.mark.slow
+def test_census_67_finds_coles_divisor():
+    # M(67) = 193707721 * 761838257287.  Only Cole's factor lies under the
+    # bound 12148001999, so it is the lone witness and 67 is composite.
+    census = run_census(67, workers=2)
+    assert census.counts[67] == 1
+    assert census.reasons[67] == REASON_PROPER_DIVISOR
+    assert census.verdicts[67] is False
+    smaller = run_census(61, workers=2).verdicts
+    assert {j: census.verdicts[j] for j in smaller} == smaller
