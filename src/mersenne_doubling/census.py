@@ -10,6 +10,7 @@ j).  Two or more witnesses mean a proper divisor exists.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import isqrt
@@ -140,11 +141,13 @@ def _slices(first_q: int, count: int, parts: int) -> list[tuple[int, int]]:
 def run_census(n0: int, workers: int = 1) -> MersenneCensus:
     """Count period-j witnesses over all candidates and turn them into verdicts.
 
-    With workers > 1 and at least _POOL_MIN_LANES candidates, each worker
-    process takes one contiguous slice of each candidate stream.
+    With more than one worker (at most one per core) and at least
+    _POOL_MIN_LANES candidates, each worker process takes one contiguous
+    slice of each candidate stream.
     """
     bound = sqrt_of_mersenne(n0)
     streams = _streams(bound)
+    workers = min(workers, os.cpu_count() or 1)
     v = np.zeros(n0 + 1, dtype=np.int64)
     if workers > 1 and sum(count for _, count in streams) >= _POOL_MIN_LANES:
         tasks = [(first, size, n0) for stream in streams for first, size in _slices(*stream, workers)]

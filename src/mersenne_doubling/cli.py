@@ -43,7 +43,7 @@ _FLAGS = {
         type=int, help=f"large-period threshold (default {DEFAULT_LARGE_THRESHOLD})"),
         DEFAULT_LARGE_THRESHOLD),
     "workers": ("--workers", dict(
-        type=int, help="worker processes (default: all cores)"),
+        type=int, help="worker processes, at most one per core (default: all cores)"),
         os.cpu_count() or 1),
     "out_dir": ("--out-dir", dict(
         help="directory for the output files (default: current directory)"),
@@ -121,10 +121,7 @@ def cmd_period(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    report = scan_range(
-        args.q_lo, args.q_hi, build_prime_table(), large_threshold=args.threshold,
-        workers=args.workers,
-    )
+    report = scan_range(args.q_lo, args.q_hi, large_threshold=args.threshold, workers=args.workers)
     paths = write_report(report, args.out_dir)
     for tag in STREAM_FILES:
         print(f"{tag}\t{len(report.stream(tag))}\t{paths[tag]}")
@@ -152,9 +149,8 @@ def cmd_is_prime(args: argparse.Namespace) -> int:
 
 
 def cmd_find_divisor(args: argparse.Namespace) -> int:
-    table = build_prime_table(args.prime_bound)
     start = perf_counter()
-    found = find_divisor_of_mersenne(args.n, table, l_max=args.l_max)
+    found = find_divisor_of_mersenne(args.n, l_max=args.l_max)
     elapsed = perf_counter() - start
     if found is None:
         print("none found")
@@ -246,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
 
     p = command("find-divisor", cmd_find_divisor, "search a divisor of M(n) for prime n",
-                "prime_bound", "l_max", "tsv")
+                "l_max", "tsv")
     p.add_argument("n", type=int)
 
     p = command("mersenne-test", cmd_mersenne_test,

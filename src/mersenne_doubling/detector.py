@@ -9,6 +9,7 @@ tab-separated files.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -16,7 +17,9 @@ from typing import Optional
 
 from .dynamics import U64_MAX, _check_modulus, _order, floor_log2
 from .dynamics import period_of  # unused here; perfbench/tracing.PATCHES wraps it by name
-from .primality import PrimeTable, is_prime, is_prime64
+from .errors import CapacityError
+from .primality import PrimeTable, is_prime64
+from .primality import is_prime  # unused here; perfbench/tracing.PATCHES wraps it by name
 
 # Exponent of the largest known Mersenne prime; periods beyond it are "large".
 DEFAULT_LARGE_THRESHOLD = 136_279_841
@@ -94,25 +97,21 @@ def _scan_chunk(qs: range) -> list[tuple[int, int]]:
     return [(q, _order(q)) for q in qs]
 
 
-def scan_range(
-    q_lo: int,
-    q_hi: int,
-    table: PrimeTable,
-    large_threshold: int = DEFAULT_LARGE_THRESHOLD,
-    workers: int = 1,
-) -> ScanReport:
+def scan_range(q_lo: int, q_hi: int, table: Optional[PrimeTable] = None,
+               large_threshold: int = DEFAULT_LARGE_THRESHOLD, workers: int = 1) -> ScanReport:
     """Periods of every odd q between the endpoints (inclusive), classified.
 
-    Each period is the order of 2 mod q alone; table is not read.  A first
-    endpoint above the second scans downwards; the resulting record set is
-    the same either way.  With workers > 1 the q, in scan order, are
-    split into contiguous chunks computed in separate processes; the final
-    sort makes the output deterministic regardless.
+    Each period is the order of 2 mod q alone; table is never read.  A first
+    endpoint above the second scans downwards; the record set is the same
+    either way.  At most one worker process per core and per q is used;
+    with more than one, the q, in scan order, are split into contiguous
+    chunks, and the final sort makes the output deterministic regardless.
     """
     for endpoint in (q_lo, q_hi):
         _check_modulus(endpoint, minimum=5)
     direction = "down" if q_lo > q_hi else "up"
     qs = range(q_lo, q_hi + 1, 2) if direction == "up" else range(q_lo, q_hi - 1, -2)
+    workers = min(workers, os.cpu_count() or 1, len(qs))
     if workers > 1:
         size = -(-len(qs) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -145,22 +144,21 @@ def write_report(report: ScanReport, out_dir: str | Path) -> dict[str, Path]:
     return paths
 
 
-def find_divisor_of_mersenne(
-    n: int,
-    table: PrimeTable,
-    l_max: int = DEFAULT_L_MAX,
-) -> Optional[tuple[int, int]]:
+def find_divisor_of_mersenne(n: int, l_max: int = DEFAULT_L_MAX) -> Optional[tuple[int, int]]:
     """Smallest witness divisor q = 1 + 2*n*l of M(n) for prime n, with its l.
 
-    Any divisor of M(n) with n prime is 1 (mod 2n) and +-1 (mod 8), so only
-    such candidates are tested.  Since n is prime, q divides M(n) exactly
-    when 2**n = 1 (mod q), which is also the sole way the period of 1/q can
-    be n or less without being 1.  Returns None when l_max (or the 64-bit
-    candidate limit) is exhausted; M(n) may still be composite.
+    is_prime64 decides n; n >= 2**64 raises CapacityError.  Any divisor of
+    M(n) with n prime is 1 (mod 2n) and +-1 (mod 8), so only such candidates
+    are tested.  Since n is prime, q divides M(n) exactly when 2**n = 1
+    (mod q), which is also the sole way the period of 1/q can be n or less
+    without being 1.  Returns None when l_max (or the 64-bit candidate
+    limit) is exhausted; M(n) may still be composite.
     """
     if n < 3:
         raise ValueError(f"divisor search needs n >= 3, got {n}")
-    if not is_prime(n, table):
+    if n > U64_MAX:
+        raise CapacityError(f"divisor search needs n < 2**64, got {n}")
+    if not is_prime64(n):
         raise ValueError(f"divisor search requires a prime exponent, got {n}")
     # Witnesses of compositeness are proper divisors, q <= M(n) - 2; for small
     # n the candidate ladder would otherwise reach the trivial q = M(n).

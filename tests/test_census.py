@@ -134,6 +134,12 @@ def test_census_workers_deterministic():
         assert run_census(n0, workers=1) == run_census(n0, workers=2)
 
 
+def test_census_pool_takes_at_most_one_worker_per_core(inline_pool, monkeypatch):
+    monkeypatch.setattr(census, "_POOL_MIN_LANES", 1)
+    assert run_census(31, workers=10**6) == run_census(31, workers=1)
+    assert inline_pool == [3]
+
+
 def test_census_counts_match_unskipped_lanes():
     # Every lane of the oracle doubles from r = 1 through all n0 steps, so
     # the census's start at 2**k is checked against steps it never takes.

@@ -110,6 +110,20 @@ def test_find_divisor_output(capsys):
     assert run_cli(capsys, "find-divisor", 12)[0] == 2
 
 
+def test_find_divisor_takes_any_64_bit_prime(capsys):
+    # 4000000000039 lies above the 4e12 capacity of is-prime's default table.
+    code, out, _ = run_cli(capsys, "find-divisor", 4000000000039)
+    assert code == 0
+    assert re.fullmatch(r"n=4000000000039 q=10600000000103351 l=1325 seconds=\d+\.\d{6}\n", out)
+
+    code, out, err = run_cli(capsys, "find-divisor", 2**64 + 13)
+    assert code == 3
+    assert out == ""
+    assert "2**64" in err
+
+    assert run_cli(capsys, "find-divisor", 11, "--prime-bound", 100)[0] == 2
+
+
 def test_scan_files_and_summary(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "scan", 5, 15, "--out-dir", tmp_path, "--workers", 1)
     assert code == 0
@@ -245,9 +259,12 @@ def test_commands_take_only_their_own_flags(capsys, monkeypatch, tmp_path):
     code, out, _ = run_cli(capsys, "period", 5)
     assert code == 0
     assert out.startswith("q=5 period=4")
-    monkeypatch.setenv("MDBL_PRIME_BOUND", "1")  # invalid, and not read by scan
+    monkeypatch.setenv("MDBL_PRIME_BOUND", "1")  # invalid, and not read by scan or find-divisor
     monkeypatch.setenv("MDBL_OUT_DIR", str(tmp_path))
     assert run_cli(capsys, "scan", 5, 9, "--workers", 1)[0] == 0
+    code, out, _ = run_cli(capsys, "find-divisor", 11, "--l-max", 10)
+    assert code == 0
+    assert out.startswith("n=11 q=23 l=1 ")
     # A flag the subcommand does not read is a usage error.
     assert run_cli(capsys, "histogram", 13, "--l-max", 5)[0] == 2
     assert run_cli(capsys, "histogram", 13, "--out-dir", tmp_path)[0] == 2

@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from mersenne_doubling import (
+    CapacityError,
     PeriodRecord,
     classify,
     find_divisor_of_mersenne,
@@ -57,8 +58,8 @@ def test_classify_threshold_boundary():
     assert classify(record, large_threshold=2) == STREAM_LARGE_PRIME
 
 
-def test_scan_small_range(prime_table):
-    report = scan_range(5, 15, prime_table)
+def test_scan_small_range():
+    report = scan_range(5, 15)
     periods = {rec.q: rec.period for tag in STREAM_FILES for rec in report.stream(tag)}
     assert periods == {5: 4, 7: 3, 9: 6, 11: 10, 13: 12, 15: 4}
     assert [rec.q for rec in report.small_prime] == [7]
@@ -66,59 +67,59 @@ def test_scan_small_range(prime_table):
     assert report.direction == "up"
 
 
-def test_scan_direction_invariance(prime_table):
-    up = scan_range(5, 99, prime_table)
-    down = scan_range(99, 5, prime_table)
+def test_scan_direction_invariance():
+    up = scan_range(5, 99)
+    down = scan_range(99, 5)
     assert down.direction == "down"
     for tag in STREAM_FILES:
         assert up.stream(tag) == down.stream(tag)
 
 
-def test_scan_partition(prime_table):
-    report = scan_range(5, 99, prime_table)
+def test_scan_partition():
+    report = scan_range(5, 99)
     assert sum(report.counts().values()) == 48
     seen = sorted(rec.q for tag in STREAM_FILES for rec in report.stream(tag))
     assert seen == list(range(5, 100, 2))
 
 
-def test_scan_matches_oracle(prime_table):
-    report = scan_range(101, 301, prime_table)
+def test_scan_matches_oracle():
+    report = scan_range(101, 301)
     for tag in STREAM_FILES:
         for rec in report.stream(tag):
             assert rec.period == oracles.order_by_doubling(rec.q)
             assert rec.segment == rec.q.bit_length()
 
 
-def _scan_periods(q_lo, q_hi, table):
-    report = scan_range(q_lo, q_hi, table)
+def _scan_periods(q_lo, q_hi):
+    report = scan_range(q_lo, q_hi)
     return {rec.q: rec.period for tag in STREAM_FILES for rec in report.stream(tag)}
 
 
-def test_scan_matches_independent_periods(monkeypatch, prime_table):
+def test_scan_matches_independent_periods(monkeypatch):
     # The scan computes the order of 2 only; period_of also replays the orbit
     # for its steps, and perfbench/check.py certifies a period with its own
     # factoring and prime test.
     for q_lo, q_hi in ((2**16 - 2**8 + 1, 2**16 + 2**8 - 1), (2**32 + 1, 2**32 + 63)):
-        periods = _scan_periods(q_lo, q_hi, prime_table)
+        periods = _scan_periods(q_lo, q_hi)
         assert sorted(periods) == list(range(q_lo, q_hi + 1, 2))
         for q, period in periods.items():
             assert period == period_of(q).period, q
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     check = importlib.import_module("check")
-    periods = _scan_periods(2**64 - 127, 2**64 - 1, prime_table)
+    periods = _scan_periods(2**64 - 127, 2**64 - 1)
     assert len(periods) == 64 and 2**64 - 59 in periods
     for q, period in periods.items():
         assert check.period_ok(q, period), q
 
 
-def test_scan_prime_streams_are_divisor_witnesses(prime_table):
-    report = scan_range(5, 2001, prime_table)
+def test_scan_prime_streams_are_divisor_witnesses():
+    report = scan_range(5, 2001)
     for rec in report.large_prime + report.small_prime:
         assert pow(2, rec.period, rec.q) == 1
 
 
-def test_scan_sort_orders(prime_table):
-    report = scan_range(5, 2001, prime_table)
+def test_scan_sort_orders():
+    report = scan_range(5, 2001)
     for tag in (STREAM_LARGE_PRIME, STREAM_SMALL_PRIME, STREAM_ODD_NONPRIME):
         keys = [(rec.period, rec.q) for rec in report.stream(tag)]
         assert keys == sorted(keys)
@@ -126,8 +127,8 @@ def test_scan_sort_orders(prime_table):
     assert even_qs == sorted(even_qs)
 
 
-def test_scan_single_point(prime_table):
-    report = scan_range(4291434391, 4291434391, prime_table)
+def test_scan_single_point():
+    report = scan_range(4291434391, 4291434391)
     assert report.counts() == {
         STREAM_LARGE_PRIME: 1,
         STREAM_SMALL_PRIME: 0,
@@ -137,29 +138,39 @@ def test_scan_single_point(prime_table):
     assert report.large_prime[0] == PeriodRecord(32, 4291434391, 143047813)
 
 
-def test_scan_workers_deterministic(prime_table):
-    sequential = scan_range(5, 399, prime_table, workers=1)
-    for parallel in (scan_range(5, 399, prime_table, workers=2),
-                     scan_range(399, 5, prime_table, workers=2)):
+def test_scan_workers_deterministic():
+    sequential = scan_range(5, 399, workers=1)
+    for parallel in (scan_range(5, 399, workers=2),
+                     scan_range(399, 5, workers=2)):
         for tag in STREAM_FILES:
             assert sequential.stream(tag) == parallel.stream(tag)
 
 
-def test_scan_endpoint_validation(prime_table):
-    with pytest.raises(ValueError):
-        scan_range(4, 10, prime_table)
-    with pytest.raises(ValueError):
-        scan_range(5, 10, prime_table)
-    with pytest.raises(ValueError):
-        scan_range(3, 9, prime_table)
-    with pytest.raises(ValueError):
-        scan_range(9, 2**64 + 1, prime_table)
-    with pytest.raises(ValueError):
-        scan_range(5.0, 99, prime_table)
+def test_scan_pool_takes_at_most_one_worker_per_core(inline_pool):
+    sequential = scan_range(5, 399, workers=1)
+    parallel = scan_range(5, 399, workers=10**6)
+    assert inline_pool == [3]
+    for tag in STREAM_FILES:
+        assert sequential.stream(tag) == parallel.stream(tag)
+    scan_range(5, 5, workers=10**6)  # one q: computed in-process
+    assert inline_pool == [3]
 
 
-def test_write_report(tmp_path, prime_table):
-    report = scan_range(5, 15, prime_table)
+def test_scan_endpoint_validation():
+    with pytest.raises(ValueError):
+        scan_range(4, 10)
+    with pytest.raises(ValueError):
+        scan_range(5, 10)
+    with pytest.raises(ValueError):
+        scan_range(3, 9)
+    with pytest.raises(ValueError):
+        scan_range(9, 2**64 + 1)
+    with pytest.raises(ValueError):
+        scan_range(5.0, 99)
+
+
+def test_write_report(tmp_path):
+    report = scan_range(5, 15)
     paths = write_report(report, tmp_path)
     assert set(paths) == set(STREAM_FILES)
     assert paths[STREAM_EVEN].name == "even_periods.tsv"
@@ -171,15 +182,17 @@ def test_write_report(tmp_path, prime_table):
     assert paths[STREAM_ODD_NONPRIME].read_bytes() == b""
 
 
-def test_find_divisor_examples(prime_table):
-    assert find_divisor_of_mersenne(11, prime_table) == (23, 1)
-    assert find_divisor_of_mersenne(29, prime_table) == (233, 4)
-    assert find_divisor_of_mersenne(13, prime_table, l_max=100) is None
+def test_find_divisor_examples():
+    assert find_divisor_of_mersenne(11) == (23, 1)
+    assert find_divisor_of_mersenne(29) == (233, 4)
+    assert find_divisor_of_mersenne(13, l_max=100) is None
+    # a 13-digit prime exponent, above the 4e12 capacity of is_prime's default table
+    assert find_divisor_of_mersenne(4000000000039) == (10600000000103351, 1325)
 
 
-def test_find_divisor_witnesses_are_sound(prime_table):
+def test_find_divisor_witnesses_are_sound():
     for n in (11, 23, 29, 37, 41, 43, 47, 53):
-        q, l = find_divisor_of_mersenne(n, prime_table)
+        q, l = find_divisor_of_mersenne(n)
         assert q == 1 + 2 * n * l
         assert (q - 1) % (2 * n) == 0
         assert q % 8 in (1, 7)
@@ -187,22 +200,24 @@ def test_find_divisor_witnesses_are_sound(prime_table):
         assert ((1 << n) - 1) % q == 0
 
 
-def test_find_divisor_none_for_mersenne_primes(prime_table):
+def test_find_divisor_none_for_mersenne_primes():
     for n in (3, 5, 7, 13, 17, 19, 31):
-        assert find_divisor_of_mersenne(n, prime_table, l_max=2000) is None
+        assert find_divisor_of_mersenne(n, l_max=2000) is None
 
 
-def test_find_divisor_never_returns_the_trivial_witness(prime_table):
+def test_find_divisor_never_returns_the_trivial_witness():
     # The candidate ladder reaches q = M(n) itself at l = (M(n)-1)/(2n); a
     # proper-divisor search must stop short of it even with no l_max in the way.
-    assert find_divisor_of_mersenne(3, prime_table) is None
-    assert find_divisor_of_mersenne(13, prime_table, l_max=10**6) is None
+    assert find_divisor_of_mersenne(3) is None
+    assert find_divisor_of_mersenne(13, l_max=10**6) is None
 
 
-def test_find_divisor_validation(prime_table):
+def test_find_divisor_validation():
     with pytest.raises(ValueError):
-        find_divisor_of_mersenne(12, prime_table)
+        find_divisor_of_mersenne(12)
     with pytest.raises(ValueError):
-        find_divisor_of_mersenne(2, prime_table)
+        find_divisor_of_mersenne(2)
     with pytest.raises(ValueError):
-        find_divisor_of_mersenne(9, prime_table)
+        find_divisor_of_mersenne(9)
+    with pytest.raises(CapacityError):
+        find_divisor_of_mersenne(2**64 + 13)
