@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -182,23 +182,25 @@ def period_hybrid(q: int, kappa: int = DEFAULT_KAPPA) -> PeriodResult:
 # of its n doublings: k doublings from residue x are one division,
 # x << k = digit * q + new_x, whose quotient digit has a set bit at every
 # doubling that wrapped past q.  Steps = popcount, flying times = gaps between
-# set bits: inside a 16-bit word from _gap_table, across words from each
-# word's first and last set bits, read off float32 exponents.
+# set bits: inside a 16-bit word from _gap_table, across words from
+# _read_flights, which reads each word's first and last set bits off float32
+# exponents.
 #
-# Two streams produce the same digits.  The bigint stream (_wrap_blocks)
-# divides one Python int per block of _STREAM_BLOCK doublings; it serves
-# q >= 2**48 and short orbits, and it is the oracle the tests hold the lanes
-# to.  The lane stream (_lane_digits) splits the orbit into _LANES numpy
-# uint64 lanes that step independently from their start residues 2**(i*L*k)
-# (Knuth, TAOCP vol. 2, 4.3.1: each quotient digit needs only its own
-# remainder).  A step is t = r << k; d = t // q; r = t - d*q: uint64
-# floor_divide by a scalar costs about 0.8 ns an element, remainder about
-# 4 ns, so the remainder comes from the quotient (Lemire, Kaser & Kurz,
-# SPE 2019).  The bigint stream finishes the doublings after the last full
-# lane step.  _lane_bits picks the path for both readers.
+# Two sources produce the same digits; _digit_sources splits the orbit
+# between them.  The bigint source (_wrap_blocks) divides one Python int per
+# block of _STREAM_BLOCK doublings: q >= 2**48, short orbits and the
+# doublings after the last full lane step.  The lane source (_lane_digits)
+# splits the orbit into _LANES numpy uint64 lanes that step independently
+# from their start residues 2**(i*L*k) (Knuth, TAOCP vol. 2, 4.3.1: each
+# quotient digit needs only its own remainder).  A step is t = r << k;
+# d = t // q; r = t - d*q: uint64 floor_divide by a scalar costs about 0.8 ns
+# an element, remainder about 4 ns, so the remainder comes from the quotient
+# (Lemire, Kaser & Kurz, SPE 2019).
 # ---------------------------------------------------------------------------
 
-_STREAM_BLOCK = 1 << 18     # doublings per divmod block; multiple of 16
+# Doublings per divmod block; a multiple of 16, so that blocks and the lane
+# hand-off join on the 16-bit word boundaries that _read_flights counts in.
+_STREAM_BLOCK = 1 << 18
 
 # Lanes stepped side by side, and lane steps per chunk.  On two shared
 # vCPUs, ns per doubling for count / histogram at k = 32 (q = 4291434391,
@@ -209,7 +211,7 @@ _STREAM_BLOCK = 1 << 18     # doublings per divmod block; multiple of 16
 #   2**13 lanes, 16 steps: 0.102 / 0.624 and 0.229 / 0.699
 #   2**14 lanes,  8 steps: 0.100 / 0.655 and 0.174 / 0.760
 # (bigint stream: about 0.8 / 2.7).  At 2**13 lanes and 8 steps the
-# histogram reader's chunk buffers take 1.9 MB.  The start residues cost
+# histogram's chunk buffers take 1.9 MB.  The start residues cost
 # 0.1-0.3 us a lane.
 _LANES = 1 << 13
 _LANE_CHUNK = 8
@@ -236,8 +238,8 @@ def _order(q: int) -> int:
     return n
 
 
-def _wrap_blocks(q: int, n: int, done: int = 0, x: int = 1) -> Iterator[tuple[int, int, int]]:
-    """Doublings done..n of the orbit of 1 as (start, length, wrap bits) blocks.
+def _wrap_blocks(q: int, n: int, done: int = 0, x: int = 1) -> Iterator[tuple[int, int]]:
+    """Doublings done..n of the orbit of 1 as (length, wrap bits) blocks.
 
     x is the residue 2**done mod q.  The wrap bits of a block are its divmod
     quotient, first doubling in the most significant of its length bits.
@@ -247,7 +249,7 @@ def _wrap_blocks(q: int, n: int, done: int = 0, x: int = 1) -> Iterator[tuple[in
     while done < n:
         k = min(_STREAM_BLOCK, n - done)
         quotient, x = divmod(x << k, q)
-        yield done, k, quotient
+        yield k, quotient
         done += k
     if x != 1:
         raise ArithmeticError(f"orbit of 1 mod {q} did not close after {n} doublings")
@@ -263,11 +265,18 @@ def _lane_bits(q: int, n: int) -> int:
     return k if n >= _LANE_MIN_DOUBLINGS and n >= k * _LANES else 0
 
 
-def _lane_starts(q: int, n: int, k: int) -> tuple[int, np.ndarray]:
-    """Steps per lane L and the _LANES + 1 residues 2**(i*L*k) mod q where lanes start.
+def _digit_sources(q: int, n: int) -> tuple[int, np.ndarray, Iterable[np.ndarray],
+                                             Iterator[tuple[int, int]]]:
+    """The lane digits and the bigint blocks after them, for n doublings of the orbit of 1.
 
-    The last residue is where the bigint stream takes over.
+    Returns the digit width k from _lane_bits, the residues 2**(i*L*k) mod q
+    where the _LANES lanes of L steps start, then the two sources.  The last
+    residue is where the bigint blocks take over; with k = 0 it is the only
+    one, 1, and no lane digit comes.
     """
+    k = _lane_bits(q, n)
+    if not k:
+        return 0, np.array([1], dtype=np.uint64), (), _wrap_blocks(q, n)
     steps = n // k // _LANES
     stride = pow(2, steps * k, q)
     r = 1
@@ -275,7 +284,8 @@ def _lane_starts(q: int, n: int, k: int) -> tuple[int, np.ndarray]:
     for _ in range(_LANES):
         r = r * stride % q
         starts.append(r)
-    return steps, np.array(starts, dtype=np.uint64)
+    starts = np.array(starts, dtype=np.uint64)
+    return k, starts, _lane_digits(q, k, steps, starts), _wrap_blocks(q, n, _LANES * steps * k, r)
 
 
 def _lane_digits(q: int, k: int, steps: int, starts: np.ndarray) -> Iterator[np.ndarray]:
@@ -305,17 +315,11 @@ def _lane_digits(q: int, k: int, steps: int, starts: np.ndarray) -> Iterator[np.
 def _count_reductions(q: int, n: int) -> int:
     """Number of wrapped doublings among the n doublings closing the orbit of 1.
 
-    The popcount of every lane digit, then of the bigint blocks after the
-    last lane step (all of them when _lane_bits picks the bigint stream).
+    The popcount of every lane digit, then of the bigint blocks after them.
     """
-    done, x, total = 0, 1, 0
-    k = _lane_bits(q, n)
-    if k:
-        steps, starts = _lane_starts(q, n, k)
-        for chunk in _lane_digits(q, k, steps, starts):
-            total += int(np.bitwise_count(chunk).sum())
-        done, x = _LANES * steps * k, int(starts[-1])
-    return total + sum(quotient.bit_count() for _, _, quotient in _wrap_blocks(q, n, done, x))
+    _, _, digits, blocks = _digit_sources(q, n)
+    total = sum(int(np.bitwise_count(chunk).sum()) for chunk in digits)
+    return total + sum(quotient.bit_count() for _, quotient in blocks)
 
 
 @functools.cache
@@ -338,103 +342,97 @@ def _gap_table() -> np.ndarray:
     return gap.astype(np.int64)
 
 
-def _lane_flights(q: int, k: int, steps: int, starts: np.ndarray,
-                  counts: np.ndarray, word_hist: np.ndarray) -> None:
-    """Add the lanes' flights that cross 16-bit words to counts, their words to word_hist.
+def _read_flights(q: int, chunks: Iterable[np.ndarray], carry: np.ndarray,
+                  counts: np.ndarray, word_hist: np.ndarray) -> np.ndarray:
+    """Add the flights that cross 16-bit words to counts, the words to word_hist.
 
-    Each lane's digits are read as 16-bit words in time order; a row holds
-    one word of every lane.  A word's first and last set bits come from the
-    float32 exponent of w and of its lowest set bit w & -w (exact below
-    2**24), as in the bigint reader of _flight_counts_stream.  A running
-    maximum down the rows carries each lane's last set bit across zero words
-    and chunks, so the flight ending at a word's first set bit is its
-    distance to that carried bit.  Before a lane's first word the last wrap
-    lies ctz(start) doublings back: a doubling wrapped exactly when the
-    residue it produced is odd, since q is odd, and a residue halves with
-    every step back from an even one.  So a flight across a lane join is
-    counted once, in the later lane.
+    chunks yields (rows, lanes) uint16 arrays, none longer than the first.
+    Column j holds lane j's words in time order, first doubling in the most
+    significant bit, so bit b of row i lies at position 16 * i + 15 - b.
+    carry holds each lane's last wrap before row 0, a position below 0, and
+    positions are counted in its dtype.  A word's first and last set bits
+    come from the float32 exponent of w and of its lowest set bit w & -w
+    (exact below 2**24).  A running maximum down the rows carries each lane's
+    last set bit across zero words and chunks, so the flight ending at a
+    word's first set bit is its distance to that carried bit.  Returns the
+    carry after the last chunk, relative to the row after it.  Raises
+    ArithmeticError on a flight above 64.
     """
+    last = None
+    for words in chunks:
+        rows, lanes = words.shape
+        if last is None:  # buffers for the first chunk, reused for the rest
+            zero = np.empty(words.shape, dtype=bool)
+            exponent = np.empty(words.shape, dtype=np.float32)
+            first = np.empty(words.shape, dtype=carry.dtype)
+            last = np.empty((rows + 1, lanes), dtype=carry.dtype)  # row 0: the carry
+            last[0] = carry
+            base = 16 * np.arange(rows, dtype=carry.dtype)[:, None] + 142  # 15 + float32 exponent bias
+        z, e, f, lw = zero[:rows], exponent[:rows], first[:rows], last[:rows + 1]
+        b = e.view(np.int32)
+        np.equal(words, 0, out=z)
+        low = f.view(np.uint16)[:, :lanes]  # w & -w, in f's memory until f takes the first set bits
+        np.negative(words, out=low)
+        np.bitwise_and(low, words, out=low)
+        np.copyto(e, low)
+        np.right_shift(b, 23, out=b)
+        np.subtract(base[:rows], b, out=lw[1:])  # last set bit: 16 * row + 15 - ctz(w)
+        np.copyto(lw[1:], -(1 << 14), where=z)
+        np.copyto(e, words)
+        np.right_shift(b, 23, out=b)
+        np.subtract(base[:rows], b, out=f)  # first set bit: 16 * row + 15 - floor_log2(w)
+        if lanes == 1:  # accumulate is fast down one column, slow across many lanes
+            np.maximum.accumulate(lw, axis=0, out=lw)
+        else:
+            for i in range(rows):
+                np.maximum(lw[i], lw[i + 1], out=lw[i + 1])
+        np.subtract(f, lw[:-1], out=f)
+        np.copyto(f, 0, where=z)
+        flights = np.bincount(f.ravel(), minlength=65)
+        np.subtract(lw[-1], 16 * rows, out=last[0])
+        if flights.size > 65 or last[0].min() < -64:
+            raise ArithmeticError(f"flying time above 64 in orbit of 1 mod {q}")
+        counts[1:] += flights[1:]
+        word_hist += np.bincount(words.ravel(), minlength=65536)
+    return carry if last is None else last[0]
+
+
+def _lane_words(k: int, digits: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """Each chunk of k-bit lane digits as 16-bit words, k // 16 rows per digit, high word first."""
     per_digit = k // 16
-    rows = min(_LANE_CHUNK, steps) * per_digit
-    words = np.empty((rows, _LANES), dtype=np.uint16)
-    zero = np.empty((rows, _LANES), dtype=bool)
-    exponent = np.empty((rows, _LANES), dtype=np.float32)
-    bits = exponent.view(np.int32)
-    first = np.empty((rows, _LANES), dtype=np.int16)
-    last = np.empty((rows + 1, _LANES), dtype=np.int16)  # row 0: carried from before the chunk
-    base = 16 * np.arange(rows, dtype=np.int32)[:, None] + 142  # 15 + float32 exponent bias
-    lane_starts = starts[:-1]
-    last[0] = -1 - np.bitwise_count(~lane_starts & (lane_starts - np.uint64(1))).astype(np.int16)
-    for chunk in _lane_digits(q, k, steps, starts):
-        n_rows = len(chunk) * per_digit
-        w, z, f, e, b = words[:n_rows], zero[:n_rows], first[:n_rows], exponent[:n_rows], bits[:n_rows]
-        lw = last[:n_rows + 1]
+    words = np.empty((_LANE_CHUNK * per_digit, _LANES), dtype=np.uint16)
+    for chunk in digits:
+        w = words[:len(chunk) * per_digit]
         by_digit = w.reshape(len(chunk), per_digit, _LANES)
         for h in reversed(range(per_digit)):  # low word last in time
             np.copyto(by_digit[:, h], chunk, casting="unsafe")
             np.right_shift(chunk, np.uint64(16), out=chunk)
-        np.equal(w, 0, out=z)
-        low = f.view(np.uint16)  # w & -w, until f takes the first set bits below
-        np.negative(w, out=low)
-        np.bitwise_and(low, w, out=low)
-        np.copyto(e, low)
-        np.right_shift(b, 23, out=b)
-        np.subtract(base[:n_rows], b, out=lw[1:])  # last set bit: 16 * row + 15 - ctz(w)
-        np.copyto(lw[1:], -(1 << 14), where=z)
-        np.copyto(e, w)
-        np.right_shift(b, 23, out=b)
-        np.subtract(base[:n_rows], b, out=f)  # first set bit: 16 * row + 15 - floor_log2(w)
-        for i in range(n_rows):
-            np.maximum(lw[i], lw[i + 1], out=lw[i + 1])
-        np.subtract(f, lw[:-1], out=f)
-        np.copyto(f, 0, where=z)
-        flights = np.bincount(f.ravel(), minlength=65)
-        np.subtract(lw[-1], 16 * n_rows, out=last[0])
-        if flights.size > 65 or last[0].min() < -64:
-            raise ArithmeticError(f"flying time above 64 in orbit of 1 mod {q}")
-        counts[1:] += flights[1:]
-        word_hist += np.bincount(w.ravel(), minlength=65536)
+        yield w
 
 
 def _flight_counts_stream(q: int, n: int) -> np.ndarray:
     """Histogram (index 1..64) of flying times over the n-doubling orbit of 1.
 
     Gaps inside 16-bit words come from _gap_table over the histogram of the
-    words.  Gaps spanning words come from _lane_flights for the lane digits,
-    then from each nonzero word of the bigint blocks: its first set bit less
-    the previous nonzero word's last, both from float32 exponents as in
-    _lane_flights.  The step before a wrap is always the end of a flight,
-    and the orbit closes on a wrap, so gaps between consecutive set bits are
-    exactly the flying times.
+    words, gaps across words from _read_flights: over the lane words with
+    int16 positions (a chunk has at most 16 rows), then over the bigint
+    blocks with int32 positions (up to 2**14 rows).  Before the first word
+    from start residue x, the last wrap lies ctz(x) + 1 doublings back: a
+    doubling wrapped exactly when the residue it produced is odd, since q is
+    odd, and a residue halves with every step back from an even one.  So a
+    flight across a lane join is counted once, in the later lane.  The orbit
+    closes on a wrap, so the gaps between set bits are the flying times.
     """
+    gap = _gap_table()  # first: building it lifts the allocator thresholds for the stream's buffers
     counts = np.zeros(65, dtype=np.int64)
     word_hist = np.zeros(65536, dtype=np.int64)
-    done, x = 0, 1
-    k = _lane_bits(q, n)
-    if k:
-        steps, starts = _lane_starts(q, n, k)
-        _lane_flights(q, k, steps, starts, counts, word_hist)
-        done, x = _LANES * steps * k, int(starts[-1])
-    prev = done - (x & -x).bit_length()  # last wrap before the bigint stream, as above
-    for start, length, quotient in _wrap_blocks(q, n, done, x):
-        n_words = (length + 15) >> 4
-        quotient <<= n_words * 16 - length  # right-pad the final partial word with zeros
-        words = np.frombuffer(quotient.to_bytes(n_words * 2, "big"), dtype=">u2")
-        nz = np.flatnonzero(words)
-        if nz.size:
-            vals = words[nz].astype(np.int64)
-            word_hist += np.bincount(vals, minlength=65536)
-            at = 16 * nz + 142  # 15 + float32 exponent bias
-            first = at - (vals.astype(np.float32).view(np.int32) >> 23)
-            last = at - ((vals & -vals).astype(np.float32).view(np.int32) >> 23)
-            first[0] -= prev - start
-            first[1:] -= last[:-1]
-            flights = np.bincount(first, minlength=65)
-            if flights.size > 65:
-                raise ArithmeticError(f"flying time above 64 in orbit of 1 mod {q}")
-            counts += flights
-            prev = start + int(last[-1])
-    counts[1:16] += _gap_table()[1:] @ word_hist  # row 0 is empty: no flight has length 0
+    k, starts, digits, blocks = _digit_sources(q, n)
+    carry = -np.bitwise_count(starts ^ (starts - np.uint64(1))).astype(np.int32)  # -(ctz(x) + 1)
+    _read_flights(q, _lane_words(k, digits), carry[:-1].astype(np.int16), counts, word_hist)
+    columns = (np.frombuffer((d << -m % 16).to_bytes((m + 15) // 16 * 2, "big"), ">u2").reshape(-1, 1)
+               for m, d in blocks)  # each block as one lane, its final partial word padded with zeros
+    _read_flights(q, columns, carry[-1:], counts, word_hist)
+    counts[1:16] += gap[1:] @ word_hist  # row 0 is empty: no flight has length 0
     return counts
 
 

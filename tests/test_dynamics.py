@@ -300,17 +300,26 @@ def test_histogram_accounting_identity():
         assert hist.steps == result.steps
 
 
-def test_histogram_stream_backend_matches_loop():
-    # The wrap-bit stream against the exact-integer stepping oracle.
+def test_histogram_stream_backend_matches_loop(monkeypatch):
+    # The wrap-bit stream against the exact-integer stepping oracle: first as
+    # the real constants route each q (the bigint blocks alone), then in 2
+    # lanes of 2-step chunks, where every orbit of 64 or more doublings takes
+    # the lanes and most of them cross chunk joins.
     rng = random.Random(0x57E)
     qs = [*range(5, 502, 2), *(rng.randrange(1 << 16, 1 << 21) | 1 for _ in range(20))]
-    for q in qs:
-        times = oracles.flying_times_exact(q)
-        expected = {t: times.count(t) for t in sorted(set(times))}
-        n = sum(times)
-        arr = _flight_counts_stream(q, n)
-        assert {t: int(arr[t]) for t in range(1, 65) if arr[t]} == expected
-        assert _count_reductions(q, n) == len(times)
+    for shrunk in (False, True):
+        if shrunk:
+            _shrink_lanes(monkeypatch, lanes=2, chunk=2)
+        in_lanes = 0
+        for q in qs:
+            times = oracles.flying_times_exact(q)
+            expected = {t: times.count(t) for t in sorted(set(times))}
+            n = sum(times)
+            in_lanes += bool(_lane_bits(q, n))
+            arr = _flight_counts_stream(q, n)
+            assert {t: int(arr[t]) for t in range(1, 65) if arr[t]} == expected, (q, shrunk)
+            assert _count_reductions(q, n) == len(times), (q, shrunk)
+        assert (in_lanes > len(qs) // 3) if shrunk else not in_lanes
 
 
 def test_gap_table_matches_definition():
@@ -321,6 +330,46 @@ def test_gap_table_matches_definition():
         for a, b in zip(bits, bits[1:]):
             expected[b - a, w] += 1
     assert np.array_equal(dynamics._gap_table(), expected)
+
+
+def _column(positions, rows):
+    """rows 16-bit words with a set bit at each position, first doubling in the top bit."""
+    words = np.zeros(rows, dtype=np.uint16)
+    for p in positions:
+        words[p // 16] |= 1 << (15 - p % 16)
+    return words
+
+
+def test_read_flights_guard():
+    # Hand-made words of 6 rows, as one lane (int32 positions, as for the
+    # bigint blocks) and as three (int16, as for the lanes).  Lane 0 flies 64
+    # from bit 16 across three zero words, as the orbit mod 2**64 - 1 does,
+    # and the flights hold whether the rows come as one chunk or as 5 and 1.
+    # Starting it at bit 15 makes a flight of 65, which must raise both inside
+    # a chunk and in the carry out of the first 5 rows, 65 after that bit.
+    others = [(-1, [0, 15, 16, 40, 90]), (-64, [0, 3, 4, 5, 6, 7, 31, 95])]
+    for n_lanes, dtype in ((1, np.int32), (3, np.int16)):
+        for flight in (64, 65):
+            lanes = [(-3, [80 - flight, 80, 81, 95]), *others][:n_lanes]
+            words = np.stack([_column(positions, 6) for _, positions in lanes], axis=1)
+            carry = np.array([c for c, _ in lanes], dtype=dtype)
+            if flight == 65:
+                for chunks in ([words], [words[:5]]):
+                    with pytest.raises(ArithmeticError, match="above 64"):
+                        dynamics._read_flights(2**64 - 1, chunks, carry, np.zeros(65, dtype=np.int64),
+                                               np.zeros(65536, dtype=np.int64))
+                continue
+            for chunks in ([words], [words[:5], words[5:]]):
+                counts = np.zeros(65, dtype=np.int64)
+                word_hist = np.zeros(65536, dtype=np.int64)
+                out = dynamics._read_flights(2**64 - 1, chunks, carry, counts, word_hist)
+                assert out.tolist() == [positions[-1] - 16 * 6 for _, positions in lanes]
+                assert np.array_equal(word_hist, np.bincount(words.ravel(), minlength=65536))
+                counts[1:16] += dynamics._gap_table()[1:] @ word_hist
+                expected = np.zeros(65, dtype=np.int64)
+                for c, positions in lanes:
+                    np.add.at(expected, np.diff([c, *positions]), 1)
+                assert np.array_equal(counts, expected), (n_lanes, len(chunks))
 
 
 def test_flights_above_2_48_match_oracle(monkeypatch):
@@ -344,10 +393,12 @@ def test_flights_above_2_48_match_oracle(monkeypatch):
                 assert np.array_equal(_flight_counts_stream(q, j * m), expected), (q, block, j)
 
 
-# --- lane stream against the bigint stream ---------------------------------
+# --- lane digits against the bigint digits ---------------------------------
+# Both digit sources go through the same flight reader, so these tests compare
+# the digits; flight correctness is held to oracles.flying_times_exact above.
 
 def _bigint_stream(monkeypatch, q, n):
-    """Steps and flight histogram from _wrap_blocks alone: the lanes' oracle."""
+    """Steps and flight histogram from the bigint blocks alone: the digits the lanes are compared with."""
     with monkeypatch.context() as patch:
         patch.setattr(dynamics, "_LANE_MIN_DOUBLINGS", 1 << 64)
         assert not _lane_bits(q, n)
@@ -369,7 +420,8 @@ def _assert_lanes_match(monkeypatch, q, n):
 def test_lanes_match_bigint_on_stream_ranges(monkeypatch):
     # The q of test_histogram_stream_backend_matches_loop, in 2 lanes of
     # 2-step chunks, so that every orbit of 64 or more doublings takes the
-    # lanes and most of them cross chunk joins.
+    # lanes and most of them cross chunk joins; the digits, read by one
+    # reader, must give the bigint blocks' steps and flights.
     _shrink_lanes(monkeypatch, lanes=2, chunk=2)
     rng = random.Random(0x57E)
     qs = [*range(5, 502, 2), *(rng.randrange(1 << 16, 1 << 21) | 1 for _ in range(20))]
@@ -401,7 +453,7 @@ def test_lanes_match_bigint_at_width_edges(monkeypatch):
 
 def _wrap_positions(q, n):
     bits = 0
-    for _, length, quotient in _wrap_blocks(q, n):
+    for length, quotient in _wrap_blocks(q, n):
         bits = bits << length | quotient
     return [i for i, bit in enumerate(format(bits, f"0{n}b")) if bit == "1"]
 
