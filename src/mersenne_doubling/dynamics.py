@@ -432,7 +432,8 @@ def _flight_counts_stream(q: int, n: int) -> np.ndarray:
     columns = (np.frombuffer((d << -m % 16).to_bytes((m + 15) // 16 * 2, "big"), ">u2").reshape(-1, 1)
                for m, d in blocks)  # each block as one lane, its final partial word padded with zeros
     _read_flights(q, columns, carry[-1:], counts, word_hist)
-    counts[1:16] += gap[1:] @ word_hist  # row 0 is empty: no flight has length 0
+    # Row 0 is empty: no flight has length 0.  einsum, not @: integer matmul has no BLAS.
+    counts[1:16] += np.einsum("tw,w->t", gap[1:], word_hist)
     return counts
 
 

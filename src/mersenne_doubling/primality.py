@@ -2,7 +2,10 @@
 
 is_prime64 is Miller-Rabin to the first twelve prime bases, exact below
 psi_12 ~ 3.18e23 and so for every n < 2**64 (Sorenson & Webster, Math. Comp.
-86, 2017).  factor uses trial division below 1000, then Pollard rho.
+86, 2017).  factor uses trial division by the primes below 1000, which stops
+once d*d > n and records a leftover n > 1 as prime without Miller-Rabin;
+only a leftover that no prime below 1000 divides goes on to is_prime64 and
+Pollard rho.
 A PrimeTable of bound B has capacity B*B, the largest n that is_prime decides;
 the default bound of two million gives 4e12.
 """
@@ -18,7 +21,9 @@ from .errors import CapacityError
 DEFAULT_PRIME_BOUND = 2_000_000
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_TRIAL_DIVISORS = (2, *range(3, 1000, 2))  # a composite d finds its primes gone
+# The primes below 1000: each odd d with no odd divisor p in 3..sqrt(d).
+_TRIAL_DIVISORS = (2, *(d for d in range(3, 1000, 2)
+                        if all(map(d.__mod__, range(3, isqrt(d) + 1, 2)))))
 
 
 def is_prime64(n: int) -> bool:
@@ -59,11 +64,19 @@ def _rho(n: int) -> int:
 
 
 def factor(n: int) -> dict[int, int]:
-    """Prime factorisation {p: e} of 1 <= n < 2**64."""
+    """Prime factorisation {p: e} of 1 <= n < 2**64.
+
+    Trial division by the primes below 1000 stops once d*d > n: no prime
+    below d divides what is left, so a leftover above 1 is prime and is
+    recorded without Miller-Rabin.  So no n < 997**2 reaches is_prime64.
+    A leftover that survives every trial divisor goes to is_prime64 and rho.
+    """
     factors: dict[int, int] = {}
     for d in _TRIAL_DIVISORS:
-        if d * d > n:  # what is left is 1 or prime
-            break
+        if d * d > n:
+            if n > 1:
+                factors[n] = 1
+            return factors
         while n % d == 0:
             factors[d] = factors.get(d, 0) + 1
             n //= d

@@ -89,6 +89,27 @@ def trial_division_is_prime(n: int) -> bool:
     return all(n % d for d in range(2, isqrt(n) + 1))
 
 
+def smallest_prime_factors(limit: int) -> np.ndarray:
+    """spf[n] = the smallest prime dividing n, for 2 <= n <= limit (sieve of Eratosthenes)."""
+    spf = np.zeros(limit + 1, dtype=np.int64)
+    for p in range(2, isqrt(limit) + 1):
+        if spf[p] == 0:  # no smaller prime marked p, so p is prime
+            multiples = spf[p * p::p]
+            multiples[multiples == 0] = p
+    n = np.arange(limit + 1, dtype=np.int64)
+    return np.where(spf == 0, n, spf)
+
+
+def factor_by_sieve(n: int, spf: list[int]) -> dict[int, int]:
+    """{p: e} of 1 <= n < len(spf), by dividing out spf[n] until 1 is left."""
+    factors: dict[int, int] = {}
+    while n > 1:
+        p = spf[n]
+        factors[p] = factors.get(p, 0) + 1
+        n //= p
+    return factors
+
+
 def composite_mask_by_trial_division(limit: int) -> np.ndarray:
     """mask[n] is True when some divisor d with d*d <= n divides n."""
     n = np.arange(limit + 1, dtype=np.int64)

@@ -543,6 +543,12 @@ def test_order_matches_oracle():
         assert _order(q) == oracles.order_by_doubling(q)
 
 
+def test_order_matches_vector_oracle_on_scan_small_slice():
+    # Every odd q that the scan benchmark's small windows draw from.
+    qs = np.arange(57345, 65536, 2)
+    assert [_order(int(q)) for q in qs] == oracles.orders_by_doubling_vector(qs).tolist()
+
+
 def _next_prime(n: int) -> int:
     while not is_prime64(n):
         n += 1

@@ -10,6 +10,7 @@ from mersenne_doubling import (
     build_prime_table,
     is_prime,
 )
+from mersenne_doubling import primality
 from mersenne_doubling.primality import factor, is_prime64
 
 
@@ -123,3 +124,28 @@ def test_factor_multiplies_back_to_primes(n):
     primes = factor(n)
     assert math.prod(p**e for p, e in primes.items()) == n
     assert all(is_prime64(p) for p in primes)
+
+
+def test_factor_matches_sieve_oracle():
+    limit = 200_000
+    spf = oracles.smallest_prime_factors(limit).tolist()
+    for n in range(1, limit + 1):
+        assert factor(n) == oracles.factor_by_sieve(n, spf)
+
+
+def test_trial_divisors_are_the_primes_below_1000():
+    assert primality._TRIAL_DIVISORS == tuple(
+        d for d in range(1000) if oracles.trial_division_is_prime(d))
+
+
+def test_factor_below_997_squared_runs_no_miller_rabin(monkeypatch):
+    # Trial division leaves 1 or a prime for every n < 997**2 (991 * 997 and
+    # 2 * 3 * 5 * 7 * 11 * 13 among them), so the prime test is never asked;
+    # past the last trial divisor it is.
+    tested = []
+    monkeypatch.setattr(primality, "is_prime64", lambda n: tested.append(n) or is_prime64(n))
+    for n in range(1, 997**2):
+        factor(n)
+    assert tested == []
+    assert factor(1009**2) == {1009: 2}
+    assert tested == [1009**2, 1009, 1009]
