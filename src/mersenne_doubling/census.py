@@ -95,7 +95,10 @@ def _census_block(first_q: int, count: int, n0: int) -> np.ndarray:
     with t = q - r, the next residue is min(r - t, r + min(r, t)); no sum
     there exceeds q, so it is exact for every q < 2**w.  A lane whose
     residue first returns to 1 at step j contributes to v(j) and is then
-    parked at 0, which both forms fix, so it never counts again.
+    parked at r = q, which both forms fix (the 3-pass form because q is odd,
+    so 2q < 2**w), so it never counts again.  Every other residue lies in
+    1..q-1, so one read, r.min() == 1, tells whether any lane hit 1 at a
+    step; only then are the hits found and counted.
     """
     dtype = np.uint32 if first_q + 8 * (count - 1) < 2**32 else np.uint64
     half = 1 << (np.iinfo(dtype).bits - 1)
@@ -123,11 +126,10 @@ def _census_block(first_q: int, count: int, n0: int) -> np.ndarray:
                 np.add(r, s, out=s)
                 np.subtract(r, t, out=r)
                 np.minimum(r, s, out=r)
-            np.equal(r, 1, out=hit)
-            found = np.count_nonzero(hit)
-            if found:
-                v[j] += found
-                r[hit] = 0
+            if r.min() == 1:
+                np.equal(r, 1, out=hit)
+                v[j] += np.count_nonzero(hit)
+                np.copyto(r, qs, where=hit)
         qs += 8 * n
     return v
 

@@ -6,7 +6,8 @@ census primality test, and a kappa timing sweep.  Exit codes: 0 success,
 2 usage error, 3 capacity error.  stdout carries data only; diagnostics go
 to stderr.  Each subcommand takes only the flags it reads.  A flag left off
 the command line is read from its MDBL_* environment variable, and only for
-the subcommands that take that flag.
+the subcommands that take that flag.  The parser is built once per process
+and shared by every main call; the MDBL_* variables are read on each call.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 from time import perf_counter
 
 from .census import candidate_count, run_census
@@ -121,10 +123,17 @@ def cmd_period(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    start = perf_counter()
     report = scan_range(args.q_lo, args.q_hi, large_threshold=args.threshold, workers=args.workers)
+    elapsed = perf_counter() - start
     paths = write_report(report, args.out_dir)
     for tag in STREAM_FILES:
         print(f"{tag}\t{len(report.stream(tag))}\t{paths[tag]}")
+    print(
+        f"q_lo={args.q_lo} q_hi={args.q_hi} records={sum(report.counts().values())} "
+        f"workers={report.workers} seconds={elapsed:.6f}",
+        file=sys.stderr,
+    )
     return 0
 
 
@@ -206,23 +215,24 @@ def cmd_bench_kappa(args: argparse.Namespace) -> int:
     return 0
 
 
-def _flag_parent(dest: str) -> argparse.ArgumentParser:
-    flag, options, _ = _FLAGS[dest]
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(flag, **options)
-    return parent
-
-
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The mdbl parser, built on first use and shared by every main call.
+
+    Parsing leaves the parser as it was: MDBL_* values are read on every
+    call, by _resolve_flags, and never stored in it.
+    """
     parser = argparse.ArgumentParser(
         prog="mdbl",
         description="Doubling-map periods of 1/q and Mersenne number tools",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parents = {dest: _flag_parent(dest) for dest in _FLAGS}
 
     def command(name: str, handler, summary: str, *dests: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=summary, parents=[parents[d] for d in dests])
+        p = sub.add_parser(name, help=summary)
+        for dest in dests:
+            flag, options, _ = _FLAGS[dest]
+            p.add_argument(flag, **options)
         p.set_defaults(handler=handler)
         return p
 

@@ -13,6 +13,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from time import perf_counter
 from typing import Optional
 
 from .dynamics import U64_MAX, _check_modulus, _order, floor_log2
@@ -25,6 +26,15 @@ from .primality import is_prime  # unused here; perfbench/tracing.PATCHES wraps 
 DEFAULT_LARGE_THRESHOLD = 136_279_841
 
 DEFAULT_L_MAX = 1_000_000
+
+# In-process time after which a scan with workers > 1 hands its remaining q
+# to a process pool: about what starting the pool costs.  The cost of a q
+# varies about 1000x with q, so a count of q would not do.  Medians on two
+# shared vCPUs, in process / workers=2 pool from the first q / this rule:
+# 5..99 0.1-0.3 / 11-14 / 0.3-0.4 ms, 4k q near 2**16 36-39 / 54-59 /
+# 55-65 ms, 16 q just below 2**64 45-72 / 51-55 / 52-58 ms, 64 q just
+# below 2**64 160 / 114-118 / 115-136 ms.
+_POOL_START_S = 0.01
 
 STREAM_LARGE_PRIME = "large-prime"
 STREAM_SMALL_PRIME = "small-prime"
@@ -67,6 +77,7 @@ class ScanReport:
     small_prime: list[PeriodRecord] = field(default_factory=list)
     odd_nonprime: list[PeriodRecord] = field(default_factory=list)
     even: list[PeriodRecord] = field(default_factory=list)
+    workers: int = field(default=1, compare=False)  # size of the pool the scan started, or 1
 
     def stream(self, tag: str) -> list[PeriodRecord]:
         return {
@@ -103,24 +114,35 @@ def scan_range(q_lo: int, q_hi: int, table: Optional[PrimeTable] = None,
 
     Each period is the order of 2 mod q alone; table is never read.  A first
     endpoint above the second scans downwards; the record set is the same
-    either way.  At most one worker process per core and per q is used;
-    with more than one, the q, in scan order, are split into contiguous
-    chunks, and the final sort makes the output deterministic regardless.
+    either way.  With more than one worker, the q are taken in scan order in
+    process until that has taken _POOL_START_S, and only the q left then go
+    to a pool of at most one worker process per core and per q, in
+    contiguous chunks.  The final sort makes the output deterministic
+    whatever the split.  report.workers is the pool's size, or 1.
     """
     for endpoint in (q_lo, q_hi):
         _check_modulus(endpoint, minimum=5)
     direction = "down" if q_lo > q_hi else "up"
     qs = range(q_lo, q_hi + 1, 2) if direction == "up" else range(q_lo, q_hi - 1, -2)
-    workers = min(workers, os.cpu_count() or 1, len(qs))
+    workers = min(workers, os.cpu_count() or 1)
+    pairs: list[tuple[int, int]] = []
     if workers > 1:
-        size = -(-len(qs) // (workers * 4))
+        stop = perf_counter() + _POOL_START_S
+        for q in qs:
+            if perf_counter() >= stop:
+                break
+            pairs.append((q, _order(q)))
+    rest = qs[len(pairs):]
+    workers = max(1, min(workers, len(rest)))
+    if workers > 1:
+        size = -(-len(rest) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(_scan_chunk, [qs[i:i + size] for i in range(0, len(qs), size)])
-            pairs = [pair for part in parts for pair in part]
+            parts = pool.map(_scan_chunk, [rest[i:i + size] for i in range(0, len(rest), size)])
+            pairs += [pair for part in parts for pair in part]
     else:
-        pairs = _scan_chunk(qs)
+        pairs += _scan_chunk(rest)
 
-    report = ScanReport(q_lo, q_hi, direction, large_threshold)
+    report = ScanReport(q_lo, q_hi, direction, large_threshold, workers=workers)
     for q, period in pairs:
         record = PeriodRecord(segment_of(q), q, period)
         report.stream(classify(record, large_threshold)).append(record)

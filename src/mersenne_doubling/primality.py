@@ -21,6 +21,7 @@ from .errors import CapacityError
 DEFAULT_PRIME_BOUND = 2_000_000
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_RHO_BATCH = 128  # rho steps per gcd
 # The primes below 1000: each odd d with no odd divisor p in 3..sqrt(d).
 _TRIAL_DIVISORS = (2, *(d for d in range(3, 1000, 2)
                         if all(map(d.__mod__, range(3, isqrt(d) + 1, 2)))))
@@ -50,15 +51,34 @@ def is_prime64(n: int) -> bool:
 
 
 def _rho(n: int) -> int:
-    """A proper divisor of the odd composite n, by Pollard rho with Floyd cycles."""
+    """A proper divisor of the odd composite n, by Pollard rho with Brent's cycle finding.
+
+    y runs through x -> x*x + c (mod n), and x holds y's value at the last
+    power of two.  The differences x - y are multiplied mod n in batches of
+    _RHO_BATCH, so one gcd serves a batch (Brent 1980).  A batch whose gcd
+    is n is stepped again from its start, one gcd a step; if that still
+    meets n, the next c is tried.
+    """
     for c in count(1):
-        x = y = 2
-        d = 1
+        y, power, product, d = 2, 1, 1, 1
         while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = gcd(x - y, n)
+            x = y
+            for _ in range(power):
+                y = (y * y + c) % n
+            for done in range(0, power, _RHO_BATCH):
+                start = y
+                for _ in range(min(_RHO_BATCH, power - done)):
+                    y = (y * y + c) % n
+                    product = product * (x - y) % n
+                d = gcd(product, n)
+                if d != 1:
+                    break
+            power *= 2
+        if d == n:
+            d, y = 1, start
+            while d == 1:
+                y = (y * y + c) % n
+                d = gcd(x - y, n)
         if d != n:
             return d
 

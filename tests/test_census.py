@@ -20,6 +20,7 @@ from mersenne_doubling.census import (
     REASON_PROPER_DIVISOR,
     REASON_SELF_WITNESS,
 )
+from mersenne_doubling.primality import factor
 
 
 def test_sqrt_of_mersenne_examples():
@@ -148,6 +149,29 @@ def test_census_counts_match_unskipped_lanes():
         qs = qs[(qs % 8 == 1) | (qs % 8 == 7)]
         tally = oracles.first_returns_capped(qs, n0)
         assert run_census(n0).counts == {j: int(tally[j]) for j in range(3, n0 + 1)}, n0
+
+
+def _tally_by_divisors(n0):
+    """v(j) from the divisors of M(j), j = 3..n0 <= 63, by the kernel's factor.
+
+    A candidate has order j exactly when it divides M(j) and not M(j/p) for
+    any prime p | j.
+    """
+    bound = sqrt_of_mersenne(n0)
+    tally = {}
+    for j in range(3, n0 + 1):
+        divisors = [1]
+        for p, e in factor((1 << j) - 1).items():
+            divisors = [d * p**k for d in divisors for k in range(e + 1)]
+        tally[j] = sum(1 for d in divisors
+                       if 7 <= d <= bound and d % 8 in (1, 7)
+                       and all(pow(2, j // p, d) != 1 for p in factor(j)))
+    return tally
+
+
+@pytest.mark.parametrize("n0", [31, 41, 43, 47, 53, pytest.param(61, marks=pytest.mark.slow)])
+def test_census_counts_match_divisors_of_mersenne_numbers(n0):
+    assert run_census(n0, workers=2).counts == _tally_by_divisors(n0)
 
 
 def test_census_block_lanes_above_2_63():

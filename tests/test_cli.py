@@ -125,8 +125,9 @@ def test_find_divisor_takes_any_64_bit_prime(capsys):
 
 
 def test_scan_files_and_summary(capsys, tmp_path):
-    code, out, _ = run_cli(capsys, "scan", 5, 15, "--out-dir", tmp_path, "--workers", 1)
+    code, out, err = run_cli(capsys, "scan", 5, 15, "--out-dir", tmp_path, "--workers", 1)
     assert code == 0
+    assert re.fullmatch(r"q_lo=5 q_hi=15 records=6 workers=1 seconds=\d+\.\d{6}\n", err)
     lines = out.splitlines()
     assert lines == [
         f"large-prime\t0\t{tmp_path / 'large_prime_periods.tsv'}",
@@ -270,6 +271,59 @@ def test_commands_take_only_their_own_flags(capsys, monkeypatch, tmp_path):
     assert run_cli(capsys, "histogram", 13, "--out-dir", tmp_path)[0] == 2
     assert run_cli(capsys, "scan", 5, 9, "--prime-bound", 100)[0] == 2
     assert run_cli(capsys, "period", 5, "--kappa", 2)[0] == 2
+
+
+HELP_TEXT = Path(__file__).with_name("cli_help.txt").read_text()
+
+
+def test_help_text_unchanged(capsys, monkeypatch):
+    # tests/cli_help.txt holds `mdbl [<command>] --help` at 80 columns, one
+    # section per command, each under a "### <command line>" header.
+    monkeypatch.setenv("COLUMNS", "80")
+    sections = dict(part.split("\n", 1) for part in HELP_TEXT.split("### ")[1:])
+    assert len(sections) == 8
+    for header, text in sections.items():
+        code, out, _ = run_cli(capsys, *header.split()[1:])
+        assert (code, out) == (0, text), header
+
+
+def test_repeated_calls_in_one_process(capsys, tmp_path):
+    # The parser is built once and shared; each call gets the same output.
+    commands = [
+        ("histogram", 13),
+        ("is-prime", 2047, "--tsv"),
+        ("is-prime", 2_250_001, "--prime-bound", 1500),
+        ("find-divisor", 13, "--l-max", 100),
+        ("mersenne-test", 31, "--workers", 1),
+        ("scan", 5, 99, "--out-dir", tmp_path, "--workers", 2),
+        ("period", 6),
+        ("scan", 5, 9, "--prime-bound", 100),
+        ("scan", "--help"),
+    ]
+    first = [run_cli(capsys, *args)[:2] for args in commands]
+    files = sorted((path.name, path.read_bytes()) for path in tmp_path.iterdir())
+    assert [code for code, _ in first] == [0, 0, 3, 0, 0, 0, 2, 2, 0]
+    assert [run_cli(capsys, *args)[:2] for args in commands] == first
+    assert sorted((path.name, path.read_bytes()) for path in tmp_path.iterdir()) == files
+
+
+def test_usage_error_then_valid_command(capsys):
+    for bad in (("period", "florp"), ("histogram", 13, "--l-max", 5), ("no-such-command",)):
+        assert run_cli(capsys, *bad)[0] == 2
+        code, out, _ = run_cli(capsys, "period", 13, "--tsv")
+        assert code == 0
+        assert re.fullmatch(r"13\t12\t6\t\d+\.\d{6}\n", out)
+
+
+def test_env_change_read_on_next_call(capsys, monkeypatch):
+    monkeypatch.setenv("MDBL_TSV", "1")
+    assert run_cli(capsys, "is-prime", 7)[1] == "7\tprime\n"
+    monkeypatch.setenv("MDBL_TSV", "0")
+    assert run_cli(capsys, "is-prime", 7)[1] == "n=7 verdict=prime\n"
+    monkeypatch.setenv("MDBL_L_MAX", "0")
+    assert run_cli(capsys, "find-divisor", 11)[1] == "none found\n"
+    monkeypatch.delenv("MDBL_L_MAX")
+    assert run_cli(capsys, "find-divisor", 11)[1].startswith("n=11 q=23 l=1 ")
 
 
 def test_module_entry_point():

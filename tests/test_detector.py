@@ -1,4 +1,5 @@
 import importlib
+import itertools
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from mersenne_doubling import (
     segment_of,
     write_report,
 )
+from mersenne_doubling import detector
 from mersenne_doubling.detector import (
     STREAM_EVEN,
     STREAM_FILES,
@@ -138,7 +140,8 @@ def test_scan_single_point():
     assert report.large_prime[0] == PeriodRecord(32, 4291434391, 143047813)
 
 
-def test_scan_workers_deterministic():
+def test_scan_workers_deterministic(monkeypatch):
+    monkeypatch.setattr(detector, "_POOL_START_S", 0)  # every q goes to the pool
     sequential = scan_range(5, 399, workers=1)
     for parallel in (scan_range(5, 399, workers=2),
                      scan_range(399, 5, workers=2)):
@@ -152,8 +155,26 @@ def test_scan_pool_takes_at_most_one_worker_per_core(inline_pool):
     assert inline_pool == [3]
     for tag in STREAM_FILES:
         assert sequential.stream(tag) == parallel.stream(tag)
+    assert parallel.workers == 3
     scan_range(5, 5, workers=10**6)  # one q: computed in-process
     assert inline_pool == [3]
+
+
+def test_scan_pool_only_after_the_in_process_budget(inline_pool, monkeypatch):
+    monkeypatch.setattr(detector, "_POOL_START_S", 3600)
+    report = scan_range(5, 99, workers=10**6)
+    assert inline_pool == []
+    assert report.workers == 1
+    # A clock that ticks once a read: the budget of 10 ticks is spent after
+    # the ninth q, and the other 189 go to the pool.
+    monkeypatch.setattr(detector, "_POOL_START_S", 10)
+    monkeypatch.setattr(detector, "perf_counter", itertools.count().__next__)
+    split = scan_range(5, 399, workers=10**6)
+    assert inline_pool == [3]
+    assert split.workers == 3
+    sequential = scan_range(5, 399, workers=1)
+    for tag in STREAM_FILES:
+        assert split.stream(tag) == sequential.stream(tag)
 
 
 def test_scan_endpoint_validation():

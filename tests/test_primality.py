@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -124,6 +125,26 @@ def test_factor_multiplies_back_to_primes(n):
     primes = factor(n)
     assert math.prod(p**e for p, e in primes.items()) == n
     assert all(is_prime64(p) for p in primes)
+
+
+def test_factor_by_rho():
+    # Every n here has a factor above 997, so each goes through rho: products
+    # of two primes near 2**31 and just above 1000, and 300 seeded q below
+    # 2**64.
+    rng = random.Random(20261019)
+
+    def prime_from(n):
+        while not is_prime64(n):
+            n += 1
+        return n
+
+    for lo in [2**31 - 2**20] * 8 + [1000] * 4:
+        p, q = prime_from(rng.randrange(lo, 2 * lo)), prime_from(rng.randrange(lo, 2 * lo))
+        assert factor(p * q) == ({p: 2} if p == q else {p: 1, q: 1})
+    for n in [rng.randrange(1, 2**64) for _ in range(300)]:
+        primes = factor(n)
+        assert math.prod(p**e for p, e in primes.items()) == n
+        assert all(is_prime64(p) for p in primes)
 
 
 def test_factor_matches_sieve_oracle():
