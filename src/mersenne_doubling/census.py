@@ -28,13 +28,28 @@ REASON_SELF_WITNESS = "self-witness-only"
 REASON_PROPER_DIVISOR = "proper-divisor-witness"
 REASON_MULTIPLE = "multiple-witnesses"
 
-# Lanes stepped together: as uint32, a chunk's q, residues and two
-# temporaries take 1 MB and stay in a core's L2 cache through all n0 steps.
-_LANE_CHUNK = 1 << 16
+# Lanes stepped together.  A chunk's q, residues, a temporary and q << 1,
+# q << 2 take 640 KB as uint32 (1.25 MB as uint64) and stay in a core's L2
+# cache through all n0 steps.  Medians of 25 alternating calls on two shared
+# vCPUs at 2**16 / 3 * 2**14 / 2**15 lanes: run_census(41) 6.26 / 5.58 /
+# 5.45 ms, run_census(43) 11.7 / 10.8 / 10.8 ms; 2**18 lanes from 2**33 at
+# n0=67 (uint64, jumps of 3) 9.96 / 8.98 / 8.36 ms, from 2**28 at n0=61
+# 4.08 / 3.80 / 3.85 ms, from 2**31 at n0=67 (uint32, five passes) 8.26 /
+# 8.48 / 8.86 ms.
+_LANE_CHUNK = 1 << 15
+
+# Most doublings per pass.  Medians of 15 alternating run_census calls on
+# two shared vCPUs, 2**16 lanes a chunk, J = 1 (the 3-pass step) / 2 / 3 /
+# 4 / 5:
+# n0=41 7.42 / 5.97 / 5.67 / 5.76 / 5.89 ms, n0=43 12.48 / 10.18 / 9.68 /
+# 10.36 / 10.37 ms, n0=47 (5 calls) 44.7 / 36.5 / 33.2 / 36.3 / 36.0 ms.
+# A jump of J costs one shift, J subtract/min pairs and one read.
+_JUMP = 3
 
 # Fewest candidates worth a process pool.  On two vCPUs, workers=2 against
-# in-process: n0=37 (93k candidates) 15.0 vs 3.7 ms, n0=41 (371k) 22.9 vs
-# 13.6 ms, n0=43 (741k) 28.8 vs 23.0 ms, n0=47 (3.0M) 60.8 vs 84.0 ms.
+# in-process: n0=37 (93k candidates) 21.1 vs 4.4 ms, n0=41 (371k) 23.4 vs
+# 9.5 ms, n0=43 (741k) 26.8 vs 15.8 ms, n0=47 (3.0M) 46.5 vs 53.3 ms,
+# n0=53 (24M) 239 vs 368 ms.
 _POOL_MIN_LANES = 1 << 20
 
 
@@ -80,58 +95,82 @@ class MersenneCensus:
 def _census_block(first_q: int, count: int, n0: int) -> np.ndarray:
     """Tally of first-return times <= n0 over count candidates first_q, first_q+8, ...
 
-    Lanes double in parallel, _LANE_CHUNK at a time in buffers allocated
-    once, as uint32 when every q is below 2**32 and as uint64 otherwise.
+    Lanes double in parallel, _LANE_CHUNK at a time, in buffers allocated
+    once per call, as uint64 only if the call's largest q reaches 2**32.
+    Each chunk runs as uint32 views of them when its own largest q is below
+    2**32 and as uint64 otherwise, so its lane width w is 32 or 64.
+
     Each chunk skips its known prefix: with k = floor(log2) of the chunk's
     smallest q, every lane has 2**j < q for j <= k, so its residue after k
     doublings is 2**k and none of the first k can be 1.  The chunk fills r
     with 2**k and steps k+1..n0.
 
-    The step form is chosen per chunk from its largest q.  If that q is at
-    most 2**(w-1) for a lane width of w bits, then 2r < 2**w, and
-    s = 2r, t = s - q, r = min(s, t) is exact in wrapping unsigned
-    arithmetic: t wraps above s when 2r < q and is 2r - q < s otherwise.
-    Above that bound 2r itself wraps, and a chunk takes five passes instead:
-    with t = q - r, the next residue is min(r - t, r + min(r, t)); no sum
-    there exceeds q, so it is exact for every q < 2**w.  A lane whose
-    residue first returns to 1 at step j contributes to v(j) and is then
-    parked at r = q, which both forms fix (the 3-pass form because q is odd,
-    so 2q < 2**w), so it never counts again.  Every other residue lies in
-    1..q-1, so one read, r.min() == 1, tells whether any lane hit 1 at a
-    step; only then are the hits found and counted.
+    A chunk then advances J = min(_JUMP, k, w - bitlen(largest q))
+    doublings per pass: s = r << J, then s = min(s, s - (q << i)) for
+    i = J-1 .. 0 leaves 2**J * r mod q.  Every sum is exact in wrapping
+    unsigned arithmetic, because s < q << (i + 1) <= q << J < 2**w before
+    the subtraction at i: it wraps above s when s < q << i.  The last jump
+    of a chunk is cut to the steps left.  A chunk with no headroom (J = 0)
+    takes five passes per doubling instead: with t = q - r, the next
+    residue is min(r - t, r + min(r, t)); no sum there exceeds q, so it is
+    exact for every q < 2**w.
+
+    Every q in the chunk exceeds 2**k, so its order exceeds k >= J and a
+    lane returns to 1 at most once in a jump.  A lane that first returned
+    at step j - e, e < J, ends the jump at j on r = 2**e, and r = 2**e < q
+    at j means 2**(j-e) = 1 mod q.  Such a lane contributes to v(j - e) and
+    is then parked at r = q, which every step form fixes, so it never
+    counts again.  Every other residue lies in 1..q-1, so one read per
+    jump, r.min() < 2**J (< 2 after a five-pass doubling), tells whether
+    any lane may have returned; only then are the residues below 2**J found
+    and the powers of two among them counted.
     """
-    dtype = np.uint32 if first_q + 8 * (count - 1) < 2**32 else np.uint64
-    half = 1 << (np.iinfo(dtype).bits - 1)
     size = min(_LANE_CHUNK, count)
-    qs = first_q + 8 * np.arange(size, dtype=dtype)
-    r, t, s = (np.empty(size, dtype=dtype) for _ in range(3))
-    hit = np.empty(size, dtype=bool)
+    widest = np.uint32 if first_q + 8 * (count - 1) < 2**32 else np.uint64
+    # r, t, then q << 1 .. q << (_JUMP - 1), or the five-pass step's second temporary
+    buffers = [np.empty(size, dtype=widest) for _ in range(2 + max(1, _JUMP - 1))]
     v = np.zeros(n0 + 1, dtype=np.int64)
     for start in range(0, count, _LANE_CHUNK):
-        n = min(_LANE_CHUNK, count - start)
-        if n < size:
-            qs, r, t, s, hit = (a[:n] for a in (qs, r, t, s, hit))
-        q_lo = first_q + 8 * start
-        k = q_lo.bit_length() - 1
-        three_pass = q_lo + 8 * (n - 1) <= half
-        r.fill(1 << k)
-        for j in range(k + 1, n0 + 1):
-            if three_pass:
-                np.add(r, r, out=s)
-                np.subtract(s, qs, out=t)
-                np.minimum(s, t, out=r)
-            else:
-                np.subtract(qs, r, out=t)
-                np.minimum(r, t, out=s)
-                np.add(r, s, out=s)
-                np.subtract(r, t, out=r)
-                np.minimum(r, s, out=r)
-            if r.min() == 1:
-                np.equal(r, 1, out=hit)
-                v[j] += np.count_nonzero(hit)
-                np.copyto(r, qs, where=hit)
-        qs += 8 * n
+        _census_chunk(first_q + 8 * start, min(_LANE_CHUNK, count - start), n0, buffers, v)
     return v
+
+
+def _census_chunk(q_lo: int, n: int, n0: int, buffers: list[np.ndarray], v: np.ndarray) -> None:
+    """Add to v the first returns of the n lanes q_lo, q_lo + 8, ..., stepped in buffers.
+
+    A function of its own, so that the chunk's q array is freed before the
+    next chunk allocates its own.
+    """
+    q_hi = q_lo + 8 * (n - 1)
+    dtype = np.uint32 if q_hi < 2**32 else np.uint64
+    qs = np.arange(q_lo, q_hi + 1, 8, dtype=dtype)
+    r, t, *spare = (b.view(dtype)[:n] for b in buffers)
+    k = q_lo.bit_length() - 1
+    jump = min(_JUMP, k, 8 * qs.itemsize - q_hi.bit_length())
+    shifted = [qs, *spare][:jump]  # q << i, i = 0 .. jump - 1
+    for i in range(1, jump):
+        np.left_shift(qs, i, out=shifted[i])
+    r.fill(1 << k)
+    j = k
+    while j < n0:
+        step = min(jump, n0 - j) if jump else 1
+        if jump:
+            np.left_shift(r, step, out=r)
+            for q_i in reversed(shifted[:step]):
+                np.subtract(r, q_i, out=t)
+                np.minimum(r, t, out=r)
+        else:
+            np.subtract(qs, r, out=t)
+            np.minimum(r, t, out=spare[0])
+            np.add(r, spare[0], out=spare[0])
+            np.subtract(r, t, out=r)
+            np.minimum(r, spare[0], out=r)
+        j += step
+        if r.min() < 1 << step:
+            lanes = (r < 1 << step).nonzero()[0]
+            lanes = lanes[np.bitwise_count(r[lanes]) == 1]  # r = 2**e: a first return at j - e
+            np.add.at(v, j - np.bitwise_count(r[lanes] - 1).astype(np.intp), 1)
+            r[lanes] = qs[lanes]
 
 
 def _slices(first_q: int, count: int, parts: int) -> list[tuple[int, int]]:

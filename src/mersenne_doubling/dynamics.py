@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -195,7 +195,12 @@ def period_hybrid(q: int, kappa: int = DEFAULT_KAPPA) -> PeriodResult:
 # quotient digit needs only its own remainder).  A step is t = r << k;
 # d = t // q; r = t - d*q: uint64 floor_divide by a scalar costs about 0.8 ns
 # an element, remainder about 4 ns, so the remainder comes from the quotient
-# (Lemire, Kaser & Kurz, SPE 2019).
+# (Lemire, Kaser & Kurz, SPE 2019).  The lane starts are the fixed cost of
+# the lane source: a ladder of vector products whose float64 quotient
+# estimate makes each product mod q exact for q < 2**48 (_mulmod), about
+# 0.25 ms a call.  The bigint source alone costs no numpy call, so short
+# orbits pay nothing for the lanes; _LANE_MIN_DOUBLINGS is where the lanes
+# overtake it.
 # ---------------------------------------------------------------------------
 
 # Doublings per divmod block; a multiple of 16, so that blocks and the lane
@@ -211,17 +216,18 @@ _STREAM_BLOCK = 1 << 18
 #   2**13 lanes, 16 steps: 0.102 / 0.624 and 0.229 / 0.699
 #   2**14 lanes,  8 steps: 0.100 / 0.655 and 0.174 / 0.760
 # (bigint stream: about 0.8 / 2.7).  At 2**13 lanes and 8 steps the
-# histogram's chunk buffers take 1.9 MB.  The start residues cost
-# 0.1-0.3 us a lane.
+# histogram's chunk buffers take 1.9 MB.
 _LANES = 1 << 13
 _LANE_CHUNK = 8
 
 # Shortest orbit streamed in lanes.  Bigint time over lane time for count /
 # histogram, n a multiple of the order of q = 131213 (k = 32) and of
-# q = 8599306381 (k = 16): at 2.1e6 doublings 0.50 / 1.37 and 0.62 / 1.21,
-# at 4.2e6 0.83 / 1.51 and 1.03 / 1.65, at 8.4e6 1.31 / 2.30 and
-# 2.16 / 2.19.
-_LANE_MIN_DOUBLINGS = 1 << 22
+# q = 8599306381 (k = 16), medians of 9 alternating calls:
+#   k = 32: 5.2e5 0.73 / 1.09, 6.6e5 0.81 / 1.03, 7.9e5 0.84 / 1.10,
+#           9.2e5 0.78 / 1.31, 1.05e6 1.31 / 1.33, 2.1e6 1.96 / 1.39
+#   k = 16: 1.05e6 2.23 / 1.47, 2.1e6 3.09 / 1.74
+# The count is slower in lanes below 2**20 doublings, neither is above.
+_LANE_MIN_DOUBLINGS = 1 << 20
 
 
 def _order(q: int) -> int:
@@ -265,27 +271,41 @@ def _lane_bits(q: int, n: int) -> int:
     return k if n >= _LANE_MIN_DOUBLINGS and n >= k * _LANES else 0
 
 
-def _digit_sources(q: int, n: int) -> tuple[int, np.ndarray, Iterable[np.ndarray],
+def _digit_sources(q: int, n: int) -> tuple[int, Sequence[int], Iterable[np.ndarray],
                                              Iterator[tuple[int, int]]]:
     """The lane digits and the bigint blocks after them, for n doublings of the orbit of 1.
 
     Returns the digit width k from _lane_bits, the residues 2**(i*L*k) mod q
     where the _LANES lanes of L steps start, then the two sources.  The last
     residue is where the bigint blocks take over; with k = 0 it is the only
-    one, 1, and no lane digit comes.
+    one, 1, no lane digit comes and no numpy call is made.  The starts are
+    stride**i for stride = 2**(L*k), built by a ladder of vector steps that
+    double the filled prefix, s[m:2m] = s[:m] * stride**m (mod q), each an
+    exact _mulmod: 14 steps for 2**13 lanes.
     """
     k = _lane_bits(q, n)
     if not k:
-        return 0, np.array([1], dtype=np.uint64), (), _wrap_blocks(q, n)
+        return 0, (1,), (), _wrap_blocks(q, n)
     steps = n // k // _LANES
-    stride = pow(2, steps * k, q)
-    r = 1
-    starts = [r]
-    for _ in range(_LANES):
-        r = r * stride % q
-        starts.append(r)
-    starts = np.array(starts, dtype=np.uint64)
-    return k, starts, _lane_digits(q, k, steps, starts), _wrap_blocks(q, n, _LANES * steps * k, r)
+    starts = np.empty(_LANES + 1, dtype=np.uint64)
+    starts[0], c, m = 1, pow(2, steps * k, q), 1
+    while m <= _LANES:  # c = stride**m
+        starts[m:2 * m] = _mulmod(starts[:min(m, _LANES + 1 - m)], c, q)
+        c, m = c * c % q, 2 * m
+    return k, starts, _lane_digits(q, k, steps, starts), _wrap_blocks(q, n, _LANES * steps * k, int(starts[-1]))
+
+
+def _mulmod(a: np.ndarray, c: int, q: int) -> np.ndarray:
+    """a * c mod q for uint64 residues a < q and c < q < 2**48.
+
+    The float64 quotient a * c / q is off by less than 1 (its relative error
+    is a few 2**-53 and the quotient is below 2**48), so the remainder
+    a * c - quotient * q, taken modulo 2**64, lies in -q .. 2q - 1 and is
+    exact as an int64; % q brings it into 0 .. q - 1.
+    """
+    quotient = np.floor(a * (c / q)).astype(np.uint64)
+    rem = (a * np.uint64(c) - quotient * np.uint64(q)).view(np.int64)
+    return (rem % q).view(np.uint64)
 
 
 def _lane_digits(q: int, k: int, steps: int, starts: np.ndarray) -> Iterator[np.ndarray]:
@@ -316,9 +336,12 @@ def _count_reductions(q: int, n: int) -> int:
     """Number of wrapped doublings among the n doublings closing the orbit of 1.
 
     The popcount of every lane digit, then of the bigint blocks after them.
+    A chunk's uint8 popcounts are summed down its rows per lane in uint16
+    (at most _LANE_CHUNK * 32 = 256 a lane), which costs less than summing
+    them all into a wider total; with k = 0 no numpy call is made.
     """
     _, _, digits, blocks = _digit_sources(q, n)
-    total = sum(int(np.bitwise_count(chunk).sum()) for chunk in digits)
+    total = sum(int(np.add.reduce(np.bitwise_count(chunk), axis=0, dtype=np.uint16).sum()) for chunk in digits)
     return total + sum(quotient.bit_count() for _, quotient in blocks)
 
 
@@ -427,6 +450,7 @@ def _flight_counts_stream(q: int, n: int) -> np.ndarray:
     counts = np.zeros(65, dtype=np.int64)
     word_hist = np.zeros(65536, dtype=np.int64)
     k, starts, digits, blocks = _digit_sources(q, n)
+    starts = np.asarray(starts, dtype=np.uint64)
     carry = -np.bitwise_count(starts ^ (starts - np.uint64(1))).astype(np.int32)  # -(ctz(x) + 1)
     _read_flights(q, _lane_words(k, digits), carry[:-1].astype(np.int16), counts, word_hist)
     columns = (np.frombuffer((d << -m % 16).to_bytes((m + 15) // 16 * 2, "big"), ">u2").reshape(-1, 1)

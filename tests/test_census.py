@@ -229,6 +229,53 @@ def test_census_chunk_and_dtype_boundaries(monkeypatch):
         assert list(census._census_block(first, 40, n0)) == _capped_tally(qs, n0), (n0, first)
 
 
+def _jump(q_lo, q_hi):
+    """Doublings per pass of a chunk from q_lo to q_hi; 0 for the five-pass step."""
+    width = 32 if q_hi < 2**32 else 64
+    return min(census._JUMP, q_lo.bit_length() - 1, width - q_hi.bit_length())
+
+
+def test_census_block_matches_unskipped_lanes_across_jump_edges(monkeypatch):
+    # Windows of 40 lanes in chunks of 7 against lanes that take every step
+    # from r = 1.  Windows from q = 7 and 9, where k bounds the jump; across
+    # 2**29, 2**30 and 2**31, where it goes 3 -> 2 -> 1 -> five passes in
+    # uint32; across 2**32, where one call runs both lane widths; across
+    # 2**61, 2**62 and 2**63 in uint64.
+    monkeypatch.setattr(census, "_LANE_CHUNK", 7)
+    windows = [(31, 7), (31, 9)]
+    windows += [(67, 2**e + 1 - 8 * 20) for e in (29, 30, 31, 32)]
+    windows += [(127, 2**e + 1 - 8 * 20) for e in (61, 62, 63)]
+    jumps = set()
+    for n0, first in windows:
+        qs = [first + 8 * i for i in range(40)]
+        jumps |= {_jump(qs[i], qs[min(i + 6, 39)]) for i in range(0, 40, 7)}
+        assert list(census._census_block(first, 40, n0)) == list(oracles.first_returns_capped(qs, n0)), (n0, first)
+    assert jumps == set(range(census._JUMP + 1))
+
+
+def test_census_block_counts_each_step_of_a_jump():
+    # One lane of a q of small order j (a prime factor of 2**j - 1 of order
+    # j), capped at n0 = j .. j + 2: its first return falls on every step of
+    # a full jump and of every shorter final jump, and is counted at j once.
+    seen = set()
+    for j in range(10, 48):
+        for q in (p for p in factor((1 << j) - 1) if p > 8 and period_of(p).period == j):
+            jump, k = _jump(q, q), q.bit_length() - 1
+            start = k + (j - k - 1) // jump * jump  # steps done when the jump holding j begins
+            for n0 in range(j, j + census._JUMP):
+                seen.add((j - start, min(jump, n0 - start)))
+                v = census._census_block(q, 1, n0)
+                assert v[j] == 1 and v.sum() == 1, (q, n0)
+    lengths = range(1, census._JUMP + 1)
+    assert seen >= {(step, length) for length in lengths for step in range(1, length + 1)}
+
+
+def test_census_block_counts_an_order_once():
+    # 2**13 - 1 returns to 1 at steps 13, 26 and 39; only the first counts.
+    v = census._census_block(2**13 - 1, 1, 40)
+    assert v[13] == 1 and v.sum() == 1
+
+
 def test_census_multiple_witnesses_mean_composite():
     census = run_census(31)
     for j, count in census.counts.items():

@@ -487,7 +487,7 @@ def test_lanes_at_the_cutoff():
     # The stream of j * order doublings is the cycle j times over, so its
     # steps and flights are j times those of one cycle, which stays on the
     # bigint stream.
-    for q, k in ((131213, 32), (131213 * 65537, 16)):  # orders 131212, 1049696
+    for q, k in ((131213, 32), (131213 * 257 * 17 * 5 * 3, 16)):  # orders 131212, 524848
         m = _order(q)
         count, hist = _count_reductions(q, m), _flight_counts_stream(q, m)
         assert not _lane_bits(q, m)
@@ -496,6 +496,37 @@ def test_lanes_at_the_cutoff():
             assert _lane_bits(q, n) == (k if n >= dynamics._LANE_MIN_DOUBLINGS else 0)
             assert _count_reductions(q, n) == n // m * count
             assert np.array_equal(_flight_counts_stream(q, n), n // m * hist)
+
+
+def test_lane_starts_are_powers_of_two(monkeypatch):
+    # The vector ladder against pow, beside both widths' edges, with the
+    # real lane count and with lane counts that are not powers of two.
+    n = 3 * (1 << 20) + 5
+    for lanes in (dynamics._LANES, 5, 7):
+        monkeypatch.setattr(dynamics, "_LANES", lanes)
+        for q, k in ((2**32 - 5, 32), (2**32 + 15, 16), (2**48 - 59, 16)):
+            width, starts, _, _ = dynamics._digit_sources(q, n)
+            stride = n // k // lanes * k
+            assert width == k
+            assert starts.tolist() == [pow(2, i * stride, q) for i in range(lanes + 1)], (q, lanes)
+
+
+def test_lane_count_matches_bigint_popcount():
+    for q, k in ((4291434391, 32), (8599306381, 16)):
+        n = _order(q)
+        assert _lane_bits(q, n) == k
+        assert _count_reductions(q, n) == sum(quotient.bit_count() for _, quotient in _wrap_blocks(q, n)), q
+
+
+def test_period_of_readme_rows():
+    rows = {
+        4398046511103: (42, 1),
+        4398046511101: (1938935328, 969555949),
+        4398046511097: (5511336480, 2755666029),
+        4291434391: (143047813, 71523699),
+    }
+    for q, (period, steps) in rows.items():
+        assert period_of(q) == (q, period, steps)
 
 
 def test_streams_raise_when_the_orbit_does_not_close():
