@@ -127,24 +127,26 @@ def _census_block(first_q: int, count: int, n0: int) -> np.ndarray:
     """
     size = min(_LANE_CHUNK, count)
     widest = np.uint32 if first_q + 8 * (count - 1) < 2**32 else np.uint64
-    # r, t, then q << 1 .. q << (_JUMP - 1), or the five-pass step's second temporary
-    buffers = [np.empty(size, dtype=widest) for _ in range(2 + max(1, _JUMP - 1))]
+    # q, r, t, then q << 1 .. q << (_JUMP - 1), or the five-pass step's second temporary
+    buffers = [np.empty(size, dtype=widest) for _ in range(3 + max(1, _JUMP - 1))]
+    offsets = np.arange(0, 8 * size, 8, dtype=np.uint32)
     v = np.zeros(n0 + 1, dtype=np.int64)
     for start in range(0, count, _LANE_CHUNK):
-        _census_chunk(first_q + 8 * start, min(_LANE_CHUNK, count - start), n0, buffers, v)
+        _census_chunk(first_q + 8 * start, min(_LANE_CHUNK, count - start), n0, buffers, offsets, v)
     return v
 
 
-def _census_chunk(q_lo: int, n: int, n0: int, buffers: list[np.ndarray], v: np.ndarray) -> None:
+def _census_chunk(q_lo: int, n: int, n0: int, buffers: list[np.ndarray], offsets: np.ndarray,
+                  v: np.ndarray) -> None:
     """Add to v the first returns of the n lanes q_lo, q_lo + 8, ..., stepped in buffers.
 
-    A function of its own, so that the chunk's q array is freed before the
-    next chunk allocates its own.
+    offsets holds 0, 8, 16, ...; the chunk's q, q_lo + offsets, go into the
+    first buffer.
     """
     q_hi = q_lo + 8 * (n - 1)
     dtype = np.uint32 if q_hi < 2**32 else np.uint64
-    qs = np.arange(q_lo, q_hi + 1, 8, dtype=dtype)
-    r, t, *spare = (b.view(dtype)[:n] for b in buffers)
+    qs, r, t, *spare = (b.view(dtype)[:n] for b in buffers)
+    np.add(offsets[:n], dtype(q_lo), out=qs)
     k = q_lo.bit_length() - 1
     jump = min(_JUMP, k, 8 * qs.itemsize - q_hi.bit_length())
     shifted = [qs, *spare][:jump]  # q << i, i = 0 .. jump - 1

@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -198,9 +198,8 @@ def period_hybrid(q: int, kappa: int = DEFAULT_KAPPA) -> PeriodResult:
 # (Lemire, Kaser & Kurz, SPE 2019).  The lane starts are the fixed cost of
 # the lane source: a ladder of vector products whose float64 quotient
 # estimate makes each product mod q exact for q < 2**48 (_mulmod), about
-# 0.25 ms a call.  The bigint source alone costs no numpy call, so short
-# orbits pay nothing for the lanes; _LANE_MIN_DOUBLINGS is where the lanes
-# overtake it.
+# 0.25 ms a call.  Short orbits take the bigint source alone and build no
+# starts; _LANE_MIN_DOUBLINGS is where the lanes overtake it.
 # ---------------------------------------------------------------------------
 
 # Doublings per divmod block; a multiple of 16, so that blocks and the lane
@@ -228,6 +227,11 @@ _LANE_CHUNK = 8
 #   k = 16: 1.05e6 2.23 / 1.47, 2.1e6 3.09 / 1.74
 # The count is slower in lanes below 2**20 doublings, neither is above.
 _LANE_MIN_DOUBLINGS = 1 << 20
+
+# The one start of an orbit on the bigint source alone, built once, so that
+# short orbits make no numpy call for it.
+_BIGINT_START = np.ones(1, dtype=np.uint64)
+_BIGINT_START.flags.writeable = False
 
 
 def _order(q: int) -> int:
@@ -271,21 +275,21 @@ def _lane_bits(q: int, n: int) -> int:
     return k if n >= _LANE_MIN_DOUBLINGS and n >= k * _LANES else 0
 
 
-def _digit_sources(q: int, n: int) -> tuple[int, Sequence[int], Iterable[np.ndarray],
+def _digit_sources(q: int, n: int) -> tuple[int, np.ndarray, Iterable[np.ndarray],
                                              Iterator[tuple[int, int]]]:
     """The lane digits and the bigint blocks after them, for n doublings of the orbit of 1.
 
     Returns the digit width k from _lane_bits, the residues 2**(i*L*k) mod q
     where the _LANES lanes of L steps start, then the two sources.  The last
     residue is where the bigint blocks take over; with k = 0 it is the only
-    one, 1, no lane digit comes and no numpy call is made.  The starts are
-    stride**i for stride = 2**(L*k), built by a ladder of vector steps that
-    double the filled prefix, s[m:2m] = s[:m] * stride**m (mod q), each an
-    exact _mulmod: 14 steps for 2**13 lanes.
+    one, 1, and no lane digit comes.  The starts are stride**i for
+    stride = 2**(L*k), built by a ladder of vector steps that double the
+    filled prefix, s[m:2m] = s[:m] * stride**m (mod q), each an exact
+    _mulmod: 14 steps for 2**13 lanes.
     """
     k = _lane_bits(q, n)
     if not k:
-        return 0, (1,), (), _wrap_blocks(q, n)
+        return 0, _BIGINT_START, (), _wrap_blocks(q, n)
     steps = n // k // _LANES
     starts = np.empty(_LANES + 1, dtype=np.uint64)
     starts[0], c, m = 1, pow(2, steps * k, q), 1
@@ -338,7 +342,7 @@ def _count_reductions(q: int, n: int) -> int:
     The popcount of every lane digit, then of the bigint blocks after them.
     A chunk's uint8 popcounts are summed down its rows per lane in uint16
     (at most _LANE_CHUNK * 32 = 256 a lane), which costs less than summing
-    them all into a wider total; with k = 0 no numpy call is made.
+    them all into a wider total.
     """
     _, _, digits, blocks = _digit_sources(q, n)
     total = sum(int(np.add.reduce(np.bitwise_count(chunk), axis=0, dtype=np.uint16).sum()) for chunk in digits)
@@ -450,7 +454,6 @@ def _flight_counts_stream(q: int, n: int) -> np.ndarray:
     counts = np.zeros(65, dtype=np.int64)
     word_hist = np.zeros(65536, dtype=np.int64)
     k, starts, digits, blocks = _digit_sources(q, n)
-    starts = np.asarray(starts, dtype=np.uint64)
     carry = -np.bitwise_count(starts ^ (starts - np.uint64(1))).astype(np.int32)  # -(ctz(x) + 1)
     _read_flights(q, _lane_words(k, digits), carry[:-1].astype(np.int16), counts, word_hist)
     columns = (np.frombuffer((d << -m % 16).to_bytes((m + 15) // 16 * 2, "big"), ">u2").reshape(-1, 1)

@@ -203,9 +203,18 @@ def test_routing_boundary_matches_oracles():
 def test_engine_table_rows():
     # Larger moduli where only the block-doubling backend is practical; the
     # periods are pinned by the divisor law 2**period = 1 (mod q) plus
-    # minimality over the divisors of the period.
-    for q in (4291783591, 4398046511101):
+    # minimality over the divisors of the period.  Each row's period and
+    # steps are pinned too; the last four are the README's period rows.
+    rows = {
+        4291783591: (143059453, 71529552),
+        4398046511101: (1938935328, 969555949),
+        4398046511103: (42, 1),
+        4398046511097: (5511336480, 2755666029),
+        4291434391: (143047813, 71523699),
+    }
+    for q, (period, steps) in rows.items():
         result = period_of(q)
+        assert result == (q, period, steps)
         assert pow(2, result.period, q) == 1
         for p in (2, 3, 5, 7, 11, 13):
             if result.period % p == 0:
@@ -487,7 +496,7 @@ def test_lanes_at_the_cutoff():
     # The stream of j * order doublings is the cycle j times over, so its
     # steps and flights are j times those of one cycle, which stays on the
     # bigint stream.
-    for q, k in ((131213, 32), (131213 * 257 * 17 * 5 * 3, 16)):  # orders 131212, 524848
+    for q, k in ((131213, 32), (4302784771, 16)):  # primes of orders 131212, 265686
         m = _order(q)
         count, hist = _count_reductions(q, m), _flight_counts_stream(q, m)
         assert not _lane_bits(q, m)
@@ -516,17 +525,6 @@ def test_lane_count_matches_bigint_popcount():
         n = _order(q)
         assert _lane_bits(q, n) == k
         assert _count_reductions(q, n) == sum(quotient.bit_count() for _, quotient in _wrap_blocks(q, n)), q
-
-
-def test_period_of_readme_rows():
-    rows = {
-        4398046511103: (42, 1),
-        4398046511101: (1938935328, 969555949),
-        4398046511097: (5511336480, 2755666029),
-        4291434391: (143047813, 71523699),
-    }
-    for q, (period, steps) in rows.items():
-        assert period_of(q) == (q, period, steps)
 
 
 def test_streams_raise_when_the_orbit_does_not_close():
