@@ -10,6 +10,7 @@ j).  Two or more witnesses mean a proper divisor exists.
 
 from __future__ import annotations
 
+import heapq
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -34,8 +35,8 @@ REASON_MULTIPLE = "multiple-witnesses"
 # vCPUs at 2**16 / 3 * 2**14 / 2**15 lanes: run_census(41) 6.26 / 5.58 /
 # 5.45 ms, run_census(43) 11.7 / 10.8 / 10.8 ms; 2**18 lanes from 2**33 at
 # n0=67 (uint64, jumps of 3) 9.96 / 8.98 / 8.36 ms, from 2**28 at n0=61
-# 4.08 / 3.80 / 3.85 ms, from 2**31 at n0=67 (uint32, five passes) 8.26 /
-# 8.48 / 8.86 ms.
+# 4.08 / 3.80 / 3.85 ms, from 2**31 at n0=67 (uint64, jumps of 3) 11.75 /
+# 10.73 / 10.03 ms.
 _LANE_CHUNK = 1 << 15
 
 # Most doublings per pass.  Medians of 15 alternating run_census calls on
@@ -46,10 +47,10 @@ _LANE_CHUNK = 1 << 15
 # A jump of J costs one shift, J subtract/min pairs and one read.
 _JUMP = 3
 
-# Fewest candidates worth a process pool.  On two vCPUs, workers=2 against
-# in-process: n0=37 (93k candidates) 21.1 vs 4.4 ms, n0=41 (371k) 23.4 vs
-# 9.5 ms, n0=43 (741k) 26.8 vs 15.8 ms, n0=47 (3.0M) 46.5 vs 53.3 ms,
-# n0=53 (24M) 239 vs 368 ms.
+# Fewest candidates worth a process pool.  Medians on two vCPUs, workers=2
+# against in-process: n0=37 (93k candidates) 19.5 vs 5.2 ms, n0=41 (371k)
+# 24.6 vs 10.3 ms, n0=43 (741k) 27.7 vs 17.8 ms, n0=47 (3.0M) 52.9 vs
+# 61.1 ms, n0=53 (24M) 293 vs 481 ms.
 _POOL_MIN_LANES = 1 << 20
 
 
@@ -76,11 +77,8 @@ def candidate_count(n0: int) -> int:
 
 def iter_candidates(n0: int) -> Iterator[int]:
     """The divisor candidates for n0, ascending: 7, 9, 15, 17, 23, 25, ..."""
-    bound = sqrt_of_mersenne(n0)
-    q = 7
-    while q <= bound:
-        yield q
-        q += 2 if q & 7 == 7 else 6
+    streams = _streams(sqrt_of_mersenne(n0))
+    return heapq.merge(*(range(first, first + 8 * count, 8) for first, count in streams))
 
 
 @dataclass(frozen=True)
@@ -92,43 +90,46 @@ class MersenneCensus:
     reasons: dict[int, str]       # prime j -> which branch decided
 
 
+def _lane_dtype(q_hi: int) -> type[np.unsignedinteger]:
+    """Lane width for q up to q_hi, one headroom bit left: uint32 below 2**31, uint64 below 2**63."""
+    if q_hi >= 2**63:
+        raise CapacityError(f"census lanes need q < 2**63 (n0 <= 113), got q = {q_hi}")
+    return np.uint32 if q_hi < 2**31 else np.uint64
+
+
 def _census_block(first_q: int, count: int, n0: int) -> np.ndarray:
     """Tally of first-return times <= n0 over count candidates first_q, first_q+8, ...
 
     Lanes double in parallel, _LANE_CHUNK at a time, in buffers allocated
-    once per call, as uint64 only if the call's largest q reaches 2**32.
-    Each chunk runs as uint32 views of them when its own largest q is below
-    2**32 and as uint64 otherwise, so its lane width w is 32 or 64.
+    once per call at the width _lane_dtype gives the call's largest q.  Each
+    chunk runs as views of them at the width _lane_dtype gives its own
+    largest q, so its lane width w is 32 or 64 and that q is below 2**(w-1).
 
     Each chunk skips its known prefix: with k = floor(log2) of the chunk's
     smallest q, every lane has 2**j < q for j <= k, so its residue after k
     doublings is 2**k and none of the first k can be 1.  The chunk fills r
     with 2**k and steps k+1..n0.
 
-    A chunk then advances J = min(_JUMP, k, w - bitlen(largest q))
+    A chunk then advances J = min(_JUMP, k, w - bitlen(largest q)) >= 1
     doublings per pass: s = r << J, then s = min(s, s - (q << i)) for
     i = J-1 .. 0 leaves 2**J * r mod q.  Every sum is exact in wrapping
     unsigned arithmetic, because s < q << (i + 1) <= q << J < 2**w before
     the subtraction at i: it wraps above s when s < q << i.  The last jump
-    of a chunk is cut to the steps left.  A chunk with no headroom (J = 0)
-    takes five passes per doubling instead: with t = q - r, the next
-    residue is min(r - t, r + min(r, t)); no sum there exceeds q, so it is
-    exact for every q < 2**w.
+    of a chunk is cut to the steps left.
 
     Every q in the chunk exceeds 2**k, so its order exceeds k >= J and a
     lane returns to 1 at most once in a jump.  A lane that first returned
     at step j - e, e < J, ends the jump at j on r = 2**e, and r = 2**e < q
     at j means 2**(j-e) = 1 mod q.  Such a lane contributes to v(j - e) and
-    is then parked at r = q, which every step form fixes, so it never
-    counts again.  Every other residue lies in 1..q-1, so one read per
-    jump, r.min() < 2**J (< 2 after a five-pass doubling), tells whether
-    any lane may have returned; only then are the residues below 2**J found
-    and the powers of two among them counted.
+    is then parked at r = q, which a jump fixes, so it never counts again.
+    Every other residue lies in 1..q-1, so one read per jump, r.min() < 2**J,
+    tells whether any lane may have returned; only then are the residues
+    below 2**J found and the powers of two among them counted.
     """
     size = min(_LANE_CHUNK, count)
-    widest = np.uint32 if first_q + 8 * (count - 1) < 2**32 else np.uint64
-    # q, r, t, then q << 1 .. q << (_JUMP - 1), or the five-pass step's second temporary
-    buffers = [np.empty(size, dtype=widest) for _ in range(3 + max(1, _JUMP - 1))]
+    widest = _lane_dtype(first_q + 8 * (count - 1))
+    # q, r, t, then q << 1 .. q << (_JUMP - 1)
+    buffers = [np.empty(size, dtype=widest) for _ in range(2 + _JUMP)]
     offsets = np.arange(0, 8 * size, 8, dtype=np.uint32)
     v = np.zeros(n0 + 1, dtype=np.int64)
     for start in range(0, count, _LANE_CHUNK):
@@ -144,7 +145,7 @@ def _census_chunk(q_lo: int, n: int, n0: int, buffers: list[np.ndarray], offsets
     first buffer.
     """
     q_hi = q_lo + 8 * (n - 1)
-    dtype = np.uint32 if q_hi < 2**32 else np.uint64
+    dtype = _lane_dtype(q_hi)
     qs, r, t, *spare = (b.view(dtype)[:n] for b in buffers)
     np.add(offsets[:n], dtype(q_lo), out=qs)
     k = q_lo.bit_length() - 1
@@ -155,18 +156,11 @@ def _census_chunk(q_lo: int, n: int, n0: int, buffers: list[np.ndarray], offsets
     r.fill(1 << k)
     j = k
     while j < n0:
-        step = min(jump, n0 - j) if jump else 1
-        if jump:
-            np.left_shift(r, step, out=r)
-            for q_i in reversed(shifted[:step]):
-                np.subtract(r, q_i, out=t)
-                np.minimum(r, t, out=r)
-        else:
-            np.subtract(qs, r, out=t)
-            np.minimum(r, t, out=spare[0])
-            np.add(r, spare[0], out=spare[0])
-            np.subtract(r, t, out=r)
-            np.minimum(r, spare[0], out=r)
+        step = min(jump, n0 - j)
+        np.left_shift(r, step, out=r)
+        for q_i in reversed(shifted[:step]):
+            np.subtract(r, q_i, out=t)
+            np.minimum(r, t, out=r)
         j += step
         if r.min() < 1 << step:
             lanes = (r < 1 << step).nonzero()[0]
@@ -185,15 +179,19 @@ def run_census(n0: int, workers: int = 1) -> MersenneCensus:
     """Count period-j witnesses over all candidates and turn them into verdicts.
 
     With more than one worker (at most one per core) and at least
-    _POOL_MIN_LANES candidates, each worker process takes one contiguous
-    slice of each candidate stream.
+    _POOL_MIN_LANES candidates, each candidate stream is cut into one
+    contiguous slice per worker, and the pool takes them highest q first.
+    A bound of 2**63 or more (n0 = 127) fails up front with CapacityError.
     """
     bound = sqrt_of_mersenne(n0)
+    _lane_dtype(bound)  # refuses a bound of 2**63 or more before any lane runs
     streams = _streams(bound)
     workers = min(workers, os.cpu_count() or 1)
     v = np.zeros(n0 + 1, dtype=np.int64)
     if workers > 1 and sum(count for _, count in streams) >= _POOL_MIN_LANES:
-        tasks = [(first, size, n0) for stream in streams for first, size in _slices(*stream, workers)]
+        # Highest q first: J falls and lanes widen as q grows, so cheap slices fill the tail.
+        tasks = sorted(((first, size, n0) for stream in streams
+                        for first, size in _slices(*stream, workers)), reverse=True)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_census_block, *zip(*tasks)):
                 v += part

@@ -1,7 +1,10 @@
 from math import isqrt
+from time import perf_counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from mersenne_doubling import (
@@ -20,6 +23,7 @@ from mersenne_doubling.census import (
     REASON_PROPER_DIVISOR,
     REASON_SELF_WITNESS,
 )
+from mersenne_doubling.cli import main
 from mersenne_doubling.primality import factor
 
 
@@ -174,16 +178,19 @@ def test_census_counts_match_divisors_of_mersenne_numbers(n0):
     assert run_census(n0, workers=2).counts == _tally_by_divisors(n0)
 
 
-def test_census_block_lanes_above_2_63():
-    # uint64 lanes with q > 2**63, where 2r itself wraps: each q is tallied
-    # once, at its order.
-    for q, order in (
-        (10540996613548315209, 66),
-        (9295997013522923649, 70),
-        (9241421688590303745, 72),
-    ):
-        v = census._census_block(q, 1, 127)
-        assert v[order] == 1 and v.sum() == 1, q
+def test_census_refuses_a_bound_of_2_63_up_front(capsys):
+    # No lane width steps q >= 2**63, and n0 = 127 is the one prime exponent
+    # whose candidate bound reaches it (about 3e18 candidates): both the
+    # library and the CLI fail at once, before any lane runs.
+    start = perf_counter()
+    for workers in (1, 2):
+        with pytest.raises(CapacityError):
+            run_census(127, workers=workers)
+    assert main(["mersenne-test", "127"]) == 3
+    assert perf_counter() - start < 1
+    assert capsys.readouterr().out == ""
+    with pytest.raises(CapacityError):
+        census._census_block(2**63 + 1, 8, 127)
 
 
 def _capped_tally(qs, n0):
@@ -214,43 +221,69 @@ def test_census_chunk_and_dtype_boundaries(monkeypatch):
         (61, 1509176295 - 8 * 20),  # period 60
         (67, sqrt_of_mersenne(67) - 8 * 39),
         (67, 12135901505 - 8 * 20),  # period 60
-        # The step form follows the chunk's largest q.  Lanes 14..20 of the
-        # first window end exactly at q = 2**31 - 1 (period 31) and take
-        # three passes; lanes 21..27, above 2**31, take five.  In the second,
-        # lanes 14..20 straddle 2**31 with q = 2**31 + 1 (period 62) inside
-        # and take five.  The same two windows at 2**63 in uint64.
+        # The lane width follows the chunk's largest q.  Lanes 14..20 of the
+        # first window end exactly at q = 2**31 - 1 (period 31) and run as
+        # uint32 jumps of one; lanes 21..27, above 2**31, as uint64 jumps of
+        # three.  In the second, lanes 14..20 straddle 2**31 with
+        # q = 2**31 + 1 (period 62) inside and run as uint64.
         (61, 2**31 - 1 - 8 * 20),
         (67, 2**31 + 1 - 8 * 17),
-        (127, 2**63 - 1 - 8 * 20),  # 2**63 - 1 has period 63
-        (127, 2**63 + 1 - 8 * 17),  # 2**63 + 1 has period 126
     ]
     for n0, first in windows:
         qs = range(first, first + 8 * 40, 8)
         assert list(census._census_block(first, 40, n0)) == _capped_tally(qs, n0), (n0, first)
 
 
+def _width(q_hi):
+    """Lane width in bits of a chunk whose largest q is q_hi."""
+    return 32 if q_hi < 2**31 else 64
+
+
 def _jump(q_lo, q_hi):
-    """Doublings per pass of a chunk from q_lo to q_hi; 0 for the five-pass step."""
-    width = 32 if q_hi < 2**32 else 64
-    return min(census._JUMP, q_lo.bit_length() - 1, width - q_hi.bit_length())
+    """Doublings per pass of a chunk from q_lo to q_hi."""
+    return min(census._JUMP, q_lo.bit_length() - 1, _width(q_hi) - q_hi.bit_length())
 
 
 def test_census_block_matches_unskipped_lanes_across_jump_edges(monkeypatch):
     # Windows of 40 lanes in chunks of 7 against lanes that take every step
     # from r = 1.  Windows from q = 7 and 9, where k bounds the jump; across
-    # 2**29, 2**30 and 2**31, where it goes 3 -> 2 -> 1 -> five passes in
-    # uint32; across 2**32, where one call runs both lane widths; across
-    # 2**61, 2**62 and 2**63 in uint64.
+    # 2**29 and 2**30, where it goes 3 -> 2 -> 1 in uint32; across 2**31,
+    # where one call runs uint32 jumps of one and uint64 jumps of three;
+    # across 2**32; across 2**61 and 2**62, where it goes 3 -> 2 -> 1 in
+    # uint64.
     monkeypatch.setattr(census, "_LANE_CHUNK", 7)
     windows = [(31, 7), (31, 9)]
     windows += [(67, 2**e + 1 - 8 * 20) for e in (29, 30, 31, 32)]
-    windows += [(127, 2**e + 1 - 8 * 20) for e in (61, 62, 63)]
+    windows += [(127, 2**e + 1 - 8 * 20) for e in (61, 62)]
     jumps = set()
     for n0, first in windows:
         qs = [first + 8 * i for i in range(40)]
-        jumps |= {_jump(qs[i], qs[min(i + 6, 39)]) for i in range(0, 40, 7)}
+        chunks = {(_width(qs[min(i + 6, 39)]), _jump(qs[i], qs[min(i + 6, 39)])) for i in range(0, 40, 7)}
+        if first < 2**31 < qs[-1]:
+            assert {(32, 1), (64, 3)} <= chunks
+        jumps |= {jump for _, jump in chunks}
         assert list(census._census_block(first, 40, n0)) == list(oracles.first_returns_capped(qs, n0)), (n0, first)
-    assert jumps == set(range(census._JUMP + 1))
+    assert jumps == set(range(1, census._JUMP + 1))
+
+
+@st.composite
+def _census_windows(draw):
+    """(first q, lanes, n0): first q = +-1 (mod 8) of any bit length, every lane below 2**63."""
+    count = draw(st.integers(1, 40))
+    bits = draw(st.integers(3, 63))
+    q = draw(st.integers(2 ** (bits - 1), min(2**bits, 2**63 - 8 * count) - 1))
+    return max(7, q - q % 8 + draw(st.sampled_from((-1, 1)))), count, draw(st.integers(3, 127))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_census_windows())
+def test_census_block_matches_unskipped_lanes(window):
+    # Both lane widths and every jump length J = 1 .. _JUMP, in chunks of 7.
+    first, count, n0 = window
+    qs = [first + 8 * i for i in range(count)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(census, "_LANE_CHUNK", 7)
+        assert list(census._census_block(first, count, n0)) == list(oracles.first_returns_capped(qs, n0))
 
 
 def test_census_block_counts_each_step_of_a_jump():
