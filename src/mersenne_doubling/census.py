@@ -39,13 +39,23 @@ REASON_MULTIPLE = "multiple-witnesses"
 # 10.73 / 10.03 ms.
 _LANE_CHUNK = 1 << 15
 
-# Most doublings per pass.  Medians of 15 alternating run_census calls on
-# two shared vCPUs, 2**16 lanes a chunk, J = 1 (the 3-pass step) / 2 / 3 /
-# 4 / 5:
+# Most doublings per pass of the subtract jump, which reduces every chunk
+# that the estimate below does not.  Medians of 15 alternating run_census
+# calls on two shared vCPUs, 2**16 lanes a chunk, all chunks on the
+# subtract jump, J = 1 (the 3-pass step) / 2 / 3 / 4 / 5:
 # n0=41 7.42 / 5.97 / 5.67 / 5.76 / 5.89 ms, n0=43 12.48 / 10.18 / 9.68 /
 # 10.36 / 10.37 ms, n0=47 (5 calls) 44.7 / 36.5 / 33.2 / 36.3 / 36.0 ms.
 # A jump of J costs one shift, J subtract/min pairs and one read.
 _JUMP = 3
+
+# Shortest jump that the float32 quotient estimate reduces.  Its pass costs
+# the same whatever J is, so it wins where J can be long: J = min(k,
+# 31 - bitlen(largest q)) is 5 just below 2**26 and 4 just below 2**27.
+# Medians of 21 alternating _census_block calls on two shared vCPUs,
+# 2**17 lanes ending at 2**e - 7, estimate over subtract jump: e = 26 (J =
+# 5) 0.94 / 0.91 at n0 = 47 / 61, e = 27 (J = 4) 1.12-1.16 / 1.00-1.01;
+# e = 19..25 (J = 12..6, 9 calls) 0.64-0.84 / 0.58-0.80.
+_ESTIMATE_JUMP = 5
 
 # Fewest candidates worth a process pool.  Medians on two vCPUs, workers=2
 # against in-process: n0=37 (93k candidates) 19.5 vs 5.2 ms, n0=41 (371k)
@@ -110,25 +120,43 @@ def _census_block(first_q: int, count: int, n0: int) -> np.ndarray:
     doublings is 2**k and none of the first k can be 1.  The chunk fills r
     with 2**k and steps k+1..n0.
 
-    A chunk then advances J = min(_JUMP, k, w - bitlen(largest q)) >= 1
-    doublings per pass: s = r << J, then s = min(s, s - (q << i)) for
-    i = J-1 .. 0 leaves 2**J * r mod q.  Every sum is exact in wrapping
-    unsigned arithmetic, because s < q << (i + 1) <= q << J < 2**w before
-    the subtraction at i: it wraps above s when s < q << i.  The last jump
-    of a chunk is cut to the steps left.
+    A chunk then advances J doublings per pass, s = r << J, and reduces s
+    to 2**J * r mod q in one of two ways, a rule on its q:
 
-    Every q in the chunk exceeds 2**k, so its order exceeds k >= J and a
-    lane returns to 1 at most once in a jump.  A lane that first returned
-    at step j - e, e < J, ends the jump at j on r = 2**e, and r = 2**e < q
-    at j means 2**(j-e) = 1 mod q.  Such a lane contributes to v(j - e) and
-    is then parked at r = q, which a jump fixes, so it never counts again.
-    Every other residue lies in 1..q-1, so one read per jump, r.min() < 2**J,
-    tells whether any lane may have returned; only then are the residues
-    below 2**J found and the powers of two among them counted.
+    * The estimate, when J = min(k, 31 - bitlen(largest q)) >= _ESTIMATE_JUMP
+      (k >= 5 and every q below 2**26, so w = 32).  Then s < 2**31 reads
+      the same as int32.  With inv = float32((1 - 2**-20) / q), made once
+      per chunk, the quotient estimate d = int32(float32(s) * inv) takes
+      four float32 roundings of at most 2**-24 each (q, the division, s,
+      the product), so it lies within a factor 1 +- 2**-21 of
+      (1 - 2**-20) * s / q: below s / q, and short of it by less than
+      2**-19 * s / q < 2**(J - 19).  J <= k < bitlen(q) and
+      J <= 31 - bitlen(q) give J <= 15, so the shortfall is below 1/16 and
+      d is floor(s / q) or one less.  Then d * q <= s, s - d * q lies in
+      0 .. 2q - 1, and one pair, r = min(t, t - q), ends the pass: t - q
+      wraps above t when t < q.  A pass costs ten array operations, the
+      read included, whatever J is.
+    * The subtract jump otherwise: J = min(_JUMP, k, w - bitlen(largest q))
+      >= 1, then s = min(s, s - (q << i)) for i = J-1 .. 0.  Every sum is
+      exact in wrapping unsigned arithmetic, because s < q << (i + 1) <=
+      q << J < 2**w before the subtraction at i: it wraps above s when
+      s < q << i.  A pass costs one shift, J subtract/min pairs and a read.
+
+    The last jump of a chunk is cut to the steps left.  Every q in the chunk
+    exceeds 2**k, so its order exceeds k >= J and a lane returns to 1 at
+    most once in a jump.  A lane that first returned at step j - e, e < J,
+    ends the jump at j on r = 2**e, and r = 2**e < q at j means
+    2**(j-e) = 1 mod q.  Such a lane contributes to v(j - e) and is then
+    parked where its pass keeps it: at r = q under the subtract jump, at
+    r = 0 under the estimate, so it never counts again.  Every other residue
+    lies in 1..q-1, so one read per pass tells whether any lane may have
+    returned, r.min() < 2**J, or (r - 1).min() < 2**J - 1 where parked lanes
+    wrap to the top; only then are those residues found and the powers of
+    two among them counted.
     """
     size = min(_LANE_CHUNK, count)
     widest = _lane_dtype(first_q + 8 * (count - 1))
-    # q, r, t, then q << 1 .. q << (_JUMP - 1)
+    # q, r, t, then q << 1 .. q << (_JUMP - 1) or the estimate's inv and float32(s)
     buffers = [np.empty(size, dtype=widest) for _ in range(2 + _JUMP)]
     offsets = np.arange(0, 8 * size, 8, dtype=np.uint32)
     v = np.zeros(n0 + 1, dtype=np.int64)
@@ -149,24 +177,42 @@ def _census_chunk(q_lo: int, n: int, n0: int, buffers: list[np.ndarray], offsets
     qs, r, t, *spare = (b.view(dtype)[:n] for b in buffers)
     np.add(offsets[:n], dtype(q_lo), out=qs)
     k = q_lo.bit_length() - 1
-    jump = min(_JUMP, k, 8 * qs.itemsize - q_hi.bit_length())
-    shifted = [qs, *spare][:jump]  # q << i, i = 0 .. jump - 1
-    for i in range(1, jump):
-        np.left_shift(qs, i, out=shifted[i])
+    jump = min(k, 31 - q_hi.bit_length())
+    estimate = jump >= _ESTIMATE_JUMP
+    if estimate:
+        inv, f = (b.view(np.float32) for b in spare)
+        np.divide(np.float32(1 - 2**-20), qs, out=inv, dtype=np.float32)
+        s, d = t.view(np.int32), r.view(np.int32)
+    else:
+        jump = min(_JUMP, k, 8 * qs.itemsize - q_hi.bit_length())
+        shifted = [qs, *spare][:jump]  # q << i, i = 0 .. jump - 1
+        for i in range(1, jump):
+            np.left_shift(qs, i, out=shifted[i])
     r.fill(1 << k)
     j = k
     while j < n0:
         step = min(jump, n0 - j)
-        np.left_shift(r, step, out=r)
-        for q_i in reversed(shifted[:step]):
-            np.subtract(r, q_i, out=t)
-            np.minimum(r, t, out=r)
+        np.left_shift(r, step, out=t if estimate else r)
+        if estimate:
+            np.copyto(f, s)  # from int32: s < 2**31
+            np.multiply(f, inv, out=f)
+            np.copyto(d, f, casting="unsafe")  # d, in r: floor(s / q) or one less
+            np.multiply(r, qs, out=r)
+            np.subtract(t, r, out=t)  # s - d*q, in 0 .. 2q - 1
+            np.subtract(t, qs, out=r)
+            np.minimum(t, r, out=r)
+            low, bound = np.subtract(r, 1, out=t), (1 << step) - 1  # parked lanes, at 0, wrap to the top
+        else:
+            for q_i in reversed(shifted[:step]):
+                np.subtract(r, q_i, out=t)
+                np.minimum(r, t, out=r)
+            low, bound = r, 1 << step
         j += step
-        if r.min() < 1 << step:
-            lanes = (r < 1 << step).nonzero()[0]
+        if low.min() < bound:
+            lanes = (low < bound).nonzero()[0]
             lanes = lanes[np.bitwise_count(r[lanes]) == 1]  # r = 2**e: a first return at j - e
             np.add.at(v, j - np.bitwise_count(r[lanes] - 1).astype(np.intp), 1)
-            r[lanes] = qs[lanes]
+            r[lanes] = 0 if estimate else qs[lanes]
 
 
 def _slices(first_q: int, count: int, parts: int) -> list[tuple[int, int]]:

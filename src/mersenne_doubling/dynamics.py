@@ -228,6 +228,13 @@ _LANE_CHUNK = 8
 # The count is slower in lanes below 2**20 doublings, neither is above.
 _LANE_MIN_DOUBLINGS = 1 << 20
 
+# Most words a stream may read for its gap fold to gather only the bins
+# they occupy: n <= 16 * _FEW_WORDS doublings read at most _FEW_WORDS + 1
+# words.  Folding all 65536 bins of the gap table takes 0.57-0.70 ms; the
+# bins found and gathered, best of 9 on two shared vCPUs: 1 bin 0.05 ms,
+# 1024 bins 0.19 ms, 2048 bins 0.39 ms, 4096 bins 0.48 ms, 8192 bins 0.76 ms.
+_FEW_WORDS = 1 << 11
+
 # The one start of an orbit on the bigint source alone, built once, so that
 # short orbits make no numpy call for it.
 _BIGINT_START = np.ones(1, dtype=np.uint64)
@@ -381,9 +388,12 @@ def _read_flights(q: int, chunks: Iterable[np.ndarray], carry: np.ndarray,
     come from the float32 exponent of w and of its lowest set bit w & -w
     (exact below 2**24).  A running maximum down the rows carries each lane's
     last set bit across zero words and chunks, so the flight ending at a
-    word's first set bit is its distance to that carried bit.  Returns the
-    carry after the last chunk, relative to the row after it.  Raises
-    ArithmeticError on a flight above 64.
+    word's first set bit is its distance to that carried bit.  The flights
+    are tallied in pairs, a * 65 + b over the two halves of a chunk, by one
+    bincount of 4225 bins folded back to 65, plus the odd one left over:
+    half as many elements, spread over more bins.  Returns the carry after
+    the last chunk, relative to the row after it.  Raises ArithmeticError
+    on a flight above 64.
     """
     last = None
     for words in chunks:
@@ -415,10 +425,13 @@ def _read_flights(q: int, chunks: Iterable[np.ndarray], carry: np.ndarray,
                 np.maximum(lw[i], lw[i + 1], out=lw[i + 1])
         np.subtract(f, lw[:-1], out=f)
         np.copyto(f, 0, where=z)
-        flights = np.bincount(f.ravel(), minlength=65)
         np.subtract(lw[-1], 16 * rows, out=last[0])
-        if flights.size > 65 or last[0].min() < -64:
+        if f.max() > 64 or last[0].min() < -64:  # before packing: a * 65 + b of larger flights may wrap int16
             raise ArithmeticError(f"flying time above 64 in orbit of 1 mod {q}")
+        flat = f.ravel()
+        h = flat.size // 2
+        pairs = np.bincount(flat[:h] * 65 + flat[h:2 * h], minlength=65 * 65).reshape(65, 65)
+        flights = pairs.sum(axis=0) + pairs.sum(axis=1) + np.bincount(flat[2 * h:], minlength=65)
         counts[1:] += flights[1:]
         word_hist += np.bincount(words.ravel(), minlength=65536)
     return carry if last is None else last[0]
@@ -441,9 +454,10 @@ def _flight_counts_stream(q: int, n: int) -> np.ndarray:
     """Histogram (index 1..64) of flying times over the n-doubling orbit of 1.
 
     Gaps inside 16-bit words come from _gap_table over the histogram of the
-    words, gaps across words from _read_flights: over the lane words with
-    int16 positions (a chunk has at most 16 rows), then over the bigint
-    blocks with int32 positions (up to 2**14 rows).  Before the first word
+    words, over its occupied bins only when n <= 16 * _FEW_WORDS.  Gaps
+    across words come from _read_flights: over the lane words with int16
+    positions (a chunk has at most 16 rows), then over the bigint blocks
+    with int32 positions (up to 2**14 rows).  Before the first word
     from start residue x, the last wrap lies ctz(x) + 1 doublings back: a
     doubling wrapped exactly when the residue it produced is odd, since q is
     odd, and a residue halves with every step back from an even one.  So a
@@ -460,7 +474,8 @@ def _flight_counts_stream(q: int, n: int) -> np.ndarray:
                for m, d in blocks)  # each block as one lane, its final partial word padded with zeros
     _read_flights(q, columns, carry[-1:], counts, word_hist)
     # Row 0 is empty: no flight has length 0.  einsum, not @: integer matmul has no BLAS.
-    counts[1:16] += np.einsum("tw,w->t", gap[1:], word_hist)
+    bins = (word_hist != 0).nonzero()[0] if n <= 16 * _FEW_WORDS else slice(None)
+    counts[1:16] += np.einsum("tw,w->t", gap[1:, bins], word_hist[bins])
     return counts
 
 

@@ -155,6 +155,18 @@ def test_census_counts_match_unskipped_lanes():
         assert run_census(n0).counts == {j: int(tally[j]) for j in range(3, n0 + 1)}, n0
 
 
+def _divisors(n):
+    divisors = [1]
+    for p, e in factor(n).items():
+        divisors = [d * p**k for d in divisors for k in range(e + 1)]
+    return divisors
+
+
+def _has_order(q, n):
+    """Whether 2 has order exactly n mod a divisor q of 2**n - 1."""
+    return all(pow(2, n // p, q) != 1 for p in factor(n))
+
+
 def _tally_by_divisors(n0):
     """v(j) from the divisors of M(j), j = 3..n0 <= 63, by the kernel's factor.
 
@@ -162,15 +174,8 @@ def _tally_by_divisors(n0):
     any prime p | j.
     """
     bound = sqrt_of_mersenne(n0)
-    tally = {}
-    for j in range(3, n0 + 1):
-        divisors = [1]
-        for p, e in factor((1 << j) - 1).items():
-            divisors = [d * p**k for d in divisors for k in range(e + 1)]
-        tally[j] = sum(1 for d in divisors
-                       if 7 <= d <= bound and d % 8 in (1, 7)
-                       and all(pow(2, j // p, d) != 1 for p in factor(j)))
-    return tally
+    return {j: sum(1 for d in _divisors((1 << j) - 1) if 7 <= d <= bound and d % 8 in (1, 7) and _has_order(d, j))
+            for j in range(3, n0 + 1)}
 
 
 @pytest.mark.parametrize("n0", [31, 41, 43, 47, 53, pytest.param(61, marks=pytest.mark.slow)])
@@ -240,30 +245,45 @@ def _width(q_hi):
 
 
 def _jump(q_lo, q_hi):
-    """Doublings per pass of a chunk from q_lo to q_hi."""
-    return min(census._JUMP, q_lo.bit_length() - 1, _width(q_hi) - q_hi.bit_length())
+    """(reduction, doublings per pass) of a chunk from q_lo to q_hi."""
+    k = q_lo.bit_length() - 1
+    estimate = min(k, 31 - q_hi.bit_length())
+    if estimate >= census._ESTIMATE_JUMP:
+        return "estimate", estimate
+    return "subtract", min(census._JUMP, k, _width(q_hi) - q_hi.bit_length())
+
+
+# Every jump length of either reduction: the estimate's J = min(k, 31 -
+# bitlen(largest q)) is at most 15, with k = 15 and q below 2**16.
+_JUMP_LENGTHS = {("subtract", jump) for jump in range(1, census._JUMP + 1)} | {
+    ("estimate", jump) for jump in range(census._ESTIMATE_JUMP, 16)}
 
 
 def test_census_block_matches_unskipped_lanes_across_jump_edges(monkeypatch):
     # Windows of 40 lanes in chunks of 7 against lanes that take every step
     # from r = 1.  Windows from q = 7 and 9, where k bounds the jump; across
-    # 2**29 and 2**30, where it goes 3 -> 2 -> 1 in uint32; across 2**31,
-    # where one call runs uint32 jumps of one and uint64 jumps of three;
-    # across 2**32; across 2**61 and 2**62, where it goes 3 -> 2 -> 1 in
-    # uint64.
+    # 2**e for e = 8 .. 16 and 25, where the estimate's J runs 15 .. 5;
+    # across 2**26, where one call hands over from estimate jumps of 5 to
+    # subtract jumps of 3; across 2**29 and 2**30, where the subtract jump
+    # goes 3 -> 2 -> 1 in uint32; across 2**31, where one call runs uint32
+    # jumps of one and uint64 jumps of three; across 2**32; across 2**61 and
+    # 2**62, where it goes 3 -> 2 -> 1 in uint64.
     monkeypatch.setattr(census, "_LANE_CHUNK", 7)
     windows = [(31, 7), (31, 9)]
+    windows += [(61, 2**e + 1 - 8 * 20) for e in (*range(8, 17), 25, 26)]
     windows += [(67, 2**e + 1 - 8 * 20) for e in (29, 30, 31, 32)]
     windows += [(127, 2**e + 1 - 8 * 20) for e in (61, 62)]
     jumps = set()
     for n0, first in windows:
         qs = [first + 8 * i for i in range(40)]
-        chunks = {(_width(qs[min(i + 6, 39)]), _jump(qs[i], qs[min(i + 6, 39)])) for i in range(0, 40, 7)}
+        chunks = {(_width(qs[min(i + 6, 39)]), *_jump(qs[i], qs[min(i + 6, 39)])) for i in range(0, 40, 7)}
+        if first < 2**26 < qs[-1]:
+            assert {(32, "estimate", 5), (32, "subtract", 3)} <= chunks
         if first < 2**31 < qs[-1]:
-            assert {(32, 1), (64, 3)} <= chunks
-        jumps |= {jump for _, jump in chunks}
+            assert {(32, "subtract", 1), (64, "subtract", 3)} <= chunks
+        jumps |= {(reduction, jump) for _, reduction, jump in chunks}
         assert list(census._census_block(first, 40, n0)) == list(oracles.first_returns_capped(qs, n0)), (n0, first)
-    assert jumps == set(range(1, census._JUMP + 1))
+    assert jumps == _JUMP_LENGTHS
 
 
 @st.composite
@@ -278,7 +298,7 @@ def _census_windows(draw):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_census_windows())
 def test_census_block_matches_unskipped_lanes(window):
-    # Both lane widths and every jump length J = 1 .. _JUMP, in chunks of 7.
+    # Both lane widths, both reductions and every jump length, in chunks of 7.
     first, count, n0 = window
     qs = [first + 8 * i for i in range(count)]
     with pytest.MonkeyPatch.context() as mp:
@@ -287,26 +307,67 @@ def test_census_block_matches_unskipped_lanes(window):
 
 
 def test_census_block_counts_each_step_of_a_jump():
-    # One lane of a q of small order j (a prime factor of 2**j - 1 of order
-    # j), capped at n0 = j .. j + 2: its first return falls on every step of
-    # a full jump and of every shorter final jump, and is counted at j once.
-    seen = set()
-    for j in range(10, 48):
-        for q in (p for p in factor((1 << j) - 1) if p > 8 and period_of(p).period == j):
-            jump, k = _jump(q, q), q.bit_length() - 1
-            start = k + (j - k - 1) // jump * jump  # steps done when the jump holding j begins
-            for n0 in range(j, j + census._JUMP):
-                seen.add((j - start, min(jump, n0 - start)))
-                v = census._census_block(q, 1, n0)
-                assert v[j] == 1 and v.sum() == 1, (q, n0)
-    lengths = range(1, census._JUMP + 1)
-    assert seen >= {(step, length) for length in lengths for step in range(1, length + 1)}
+    # One lane of a q of small order j, a divisor of 2**j - 1 that divides
+    # no 2**(j/p) - 1, capped at n0 = j .. j + max(J, _JUMP) - 1: its first
+    # return falls on every step of a full jump and of every shorter final
+    # jump, of both reductions, and is counted at j once.  A jump of 15
+    # needs k = 15, q below 2**16, so its returns fall on step
+    # (j - 16) % 15 + 1: step 2 from j = 92 (q = 39057), step 11 from
+    # j = 56 (q = 55709), and step 8 from no q of order below 188, so that
+    # step is never reached.
+    lanes = [(q, j) for j in range(10, 48) for q in _divisors((1 << j) - 1) if q > 8 and _has_order(q, j)]
+    seen, jumps = set(), set()
+    for q, j in [*lanes, (39057, 92), (55709, 56)]:
+        reduction, jump = _jump(q, q)
+        jumps.add((reduction, jump))
+        k = q.bit_length() - 1
+        start = k + (j - k - 1) // jump * jump  # steps done when the jump holding j begins
+        for n0 in range(j, j + max(jump, census._JUMP)):
+            seen.add((reduction, j - start, min(jump, n0 - start)))
+            v = census._census_block(q, 1, n0)
+            assert v[j] == 1 and v.sum() == 1, (q, n0)
+    assert jumps == _JUMP_LENGTHS
+    longest = {"subtract": census._JUMP, "estimate": 15}
+    every_step = {(reduction, step, length) for reduction in longest
+                  for length in range(1, longest[reduction] + 1) for step in range(1, length + 1)}
+    assert seen == every_step - {("estimate", 8, 15)}
+
+
+def test_census_estimate_passes_ending_next_to_a_multiple_of_q():
+    # A pass that ends on residue 1 or q - 1 has s = m*q + 1 or (m+1)*q - 1,
+    # where s / q lies nearest an integer and the estimate's d must still be
+    # m or m - 1.  Lanes q | 2**x - 1 of order x and q | 2**x + 1 of order
+    # 2x, with x a pass end k + i*J, for every estimate length J, both at
+    # the smallest k = J (q below 2**(J+1)) and the largest k = 30 - J (q
+    # below 2**(31-J)).  Each counts once at its order, if that is <= n0.
+    # No divisor of 2**x + 1, x < 64, ends a pass of 8 from k = 8 on q - 1;
+    # 449 does at x = 112.
+    n0, lengths = 113, range(census._ESTIMATE_JUMP, 16)
+    lanes = {(449, 224, 112, 8, 8)}  # (q, order, pass end x, J, k)
+    for jump in lengths:
+        for k in {jump, 30 - jump}:
+            for x in range(k + jump, 64, jump):
+                for order, m in ((x, (1 << x) - 1), (2 * x, (1 << x) + 1)):
+                    lanes |= {(q, order, x, jump, k) for q in _divisors(m)
+                              if q.bit_length() == k + 1 and _has_order(q, order)}
+    assert {(order == x, jump, k) for _, order, x, jump, k in lanes} == {
+        (ends_on_1, jump, k) for jump in lengths for k in (jump, 30 - jump) for ends_on_1 in (True, False)}
+    for q, order, x, jump, k in sorted(lanes):
+        assert pow(2, x, q) == (1 if order == x else q - 1) and (x - k) % jump == 0
+        assert _jump(q, q) == ("estimate", jump)
+        assert list(census._census_block(q, 1, n0)) == [int(j == order) for j in range(n0 + 1)], q
 
 
 def test_census_block_counts_an_order_once():
-    # 2**13 - 1 returns to 1 at steps 13, 26 and 39; only the first counts.
-    v = census._census_block(2**13 - 1, 1, 40)
-    assert v[13] == 1 and v.sum() == 1
+    # 2**13 - 1 returns to 1 at steps 13, 26 and 39 in an estimate chunk,
+    # alone and among 20 other lanes; 2**29 - 1 at steps 29 and 58 in a
+    # subtract chunk.  Only the first return counts.
+    for first, count, n0 in ((2**13 - 1, 1, 40), (2**13 - 1 - 8 * 10, 21, 40), (2**29 - 1, 1, 61)):
+        qs = [first + 8 * i for i in range(count)]
+        assert _jump(qs[0], qs[-1])[0] == ("estimate" if first < 2**26 else "subtract")
+        v = census._census_block(first, count, n0)
+        assert list(v) == list(oracles.first_returns_capped(qs, n0))
+        assert v[13 if first < 2**26 else 29] == 1
 
 
 def test_census_multiple_witnesses_mean_composite():

@@ -331,6 +331,17 @@ def test_histogram_stream_backend_matches_loop(monkeypatch):
         assert (in_lanes > len(qs) // 3) if shrunk else not in_lanes
 
 
+def test_gap_fold_over_occupied_bins_matches_oracle():
+    # A stream of at most 16 * _FEW_WORDS doublings folds the gap table over
+    # the bins its words occupy, a longer one over all 65536.  Orbits of
+    # 32748 and 32770 doublings lie just under and just over that line; both
+    # hold about 2048 distinct words.
+    for q, short in ((32749, True), (32771, False)):
+        times = oracles.flying_times_exact(q)
+        assert (sum(times) <= 16 * dynamics._FEW_WORDS) == short
+        assert np.array_equal(_flight_counts_stream(q, sum(times)), np.bincount(times, minlength=65)), q
+
+
 def test_gap_table_matches_definition():
     # gap[t, w] counts the adjacent set bits of w that lie t apart.
     expected = np.zeros((16, 65536), dtype=np.int64)
