@@ -29,39 +29,51 @@ REASON_SELF_WITNESS = "self-witness-only"
 REASON_PROPER_DIVISOR = "proper-divisor-witness"
 REASON_MULTIPLE = "multiple-witnesses"
 
-# Lanes stepped together.  A chunk's q, residues, a temporary and q << 1,
-# q << 2 take 640 KB as uint32 (1.25 MB as uint64) and stay in a core's L2
-# cache through all n0 steps.  Medians of 25 alternating calls on two shared
-# vCPUs at 2**16 / 3 * 2**14 / 2**15 lanes: run_census(41) 6.26 / 5.58 /
-# 5.45 ms, run_census(43) 11.7 / 10.8 / 10.8 ms; 2**18 lanes from 2**33 at
-# n0=67 (uint64, jumps of 3) 9.96 / 8.98 / 8.36 ms, from 2**28 at n0=61
-# 4.08 / 3.80 / 3.85 ms, from 2**31 at n0=67 (uint64, jumps of 3) 11.75 /
-# 10.73 / 10.03 ms.
+# Lanes stepped together.  A chunk's q, residues, a temporary and two spare
+# buffers (q << 1 and q << 2, or the estimate's inv and float(r)) take
+# 640 KB as uint32 (1.25 MB as uint64) and stay in a core's L2 cache
+# through all n0 steps.  Medians of 15 alternating calls on two shared
+# vCPUs, 2**14 / 2**16 lanes over 2**15: run_census(41) 0.96 / 1.18,
+# run_census(43) 1.02 / 1.12, 2**18 lanes from 2**28 at n0=61 0.97 / 1.24,
+# from 2**33 at n0=67 (uint64) 0.99 / 1.23.
 _LANE_CHUNK = 1 << 15
 
-# Most doublings per pass of the subtract jump, which reduces every chunk
-# that the estimate below does not.  Medians of 15 alternating run_census
-# calls on two shared vCPUs, 2**16 lanes a chunk, all chunks on the
-# subtract jump, J = 1 (the 3-pass step) / 2 / 3 / 4 / 5:
-# n0=41 7.42 / 5.97 / 5.67 / 5.76 / 5.89 ms, n0=43 12.48 / 10.18 / 9.68 /
-# 10.36 / 10.37 ms, n0=47 (5 calls) 44.7 / 36.5 / 33.2 / 36.3 / 36.0 ms.
-# A jump of J costs one shift, J subtract/min pairs and one read.
+# A stream is cut into chunks at every power of two from this one up, so
+# that each chunk from here on lies in one octave 2**k <= q < 2**(k+1) and
+# starts at its own k.  From 2**18 up an octave holds whole _LANE_CHUNK
+# chunks of a stream, so the cut adds no chunk there.  Below it each stream
+# keeps one chunk, from q = 7 or 9.  Medians of 15 alternating run_census
+# calls on two shared vCPUs, a floor of 2**12 / 2**15 / 2**18 over 2**16:
+# n0=31 1.40 / 1.09 / 0.99, n0=41 1.06 / 0.99 / 1.16, n0=43 1.05 / 0.99 /
+# 1.10.
+_SPLIT_FLOOR = 1 << 16
+
+# Most doublings per pass of the subtract jump, which reduces the chunks
+# with k < _ESTIMATE_JUMP: in a census, only each stream's bottom chunk.
 _JUMP = 3
 
-# Shortest jump that the float32 quotient estimate reduces.  Its pass costs
-# the same whatever J is, so it wins where J can be long: J = min(k,
-# 31 - bitlen(largest q)) is 5 just below 2**26 and 4 just below 2**27.
-# Medians of 21 alternating _census_block calls on two shared vCPUs,
-# 2**17 lanes ending at 2**e - 7, estimate over subtract jump: e = 26 (J =
-# 5) 0.94 / 0.91 at n0 = 47 / 61, e = 27 (J = 4) 1.12-1.16 / 1.00-1.01;
-# e = 19..25 (J = 12..6, 9 calls) 0.64-0.84 / 0.58-0.80.
+# Smallest k that the quotient estimate reduces.  Below it the estimate's
+# J = k would be at most one doubling longer than the subtract jump's
+# min(3, k), for more array operations.  With the estimate in the bottom
+# chunks too (medians of 15
+# alternating run_census calls on two shared vCPUs): n0=13 1.21x, n0=31
+# 1.74x, n0=41 1.21x, n0=43 1.13x the time.
 _ESTIMATE_JUMP = 5
 
-# Fewest candidates worth a process pool.  Medians on two vCPUs, workers=2
-# against in-process: n0=37 (93k candidates) 19.5 vs 5.2 ms, n0=41 (371k)
-# 24.6 vs 10.3 ms, n0=43 (741k) 27.7 vs 17.8 ms, n0=47 (3.0M) 52.9 vs
-# 61.1 ms, n0=53 (24M) 293 vs 481 ms.
-_POOL_MIN_LANES = 1 << 20
+# The estimate per lane width: float type, signed integer of the same
+# width, longest jump J and bias beta of inv = (1 - beta) * 2**J / q.  See
+# _census_block for why d is floor(2**J * r / q) or one less.
+_ESTIMATE = {
+    np.uint32: (np.float32, np.int32, 19, 2**-20),
+    np.uint64: (np.float64, np.int64, 44, 2**-46),
+}
+
+# Fewest candidates worth a process pool.  Medians of alternating calls on
+# two shared vCPUs, workers=2 against in-process: n0=43 (741k candidates)
+# 5.1 vs 5.2 ms, n0=47 (3.0M) 25-32 vs 16-22 ms, n0=53 (24M) 71-92 vs
+# 105-149 ms, n0=59 (190M) 0.60 vs 1.13 s.  The pool costs about 25 ms,
+# so it pays from about twice that in-process, some 9M candidates.
+_POOL_MIN_LANES = 1 << 23
 
 
 def sqrt_of_mersenne(n0: int) -> int:
@@ -110,10 +122,11 @@ def _lane_dtype(q_hi: int) -> type[np.unsignedinteger]:
 def _census_block(first_q: int, count: int, n0: int) -> np.ndarray:
     """Tally of first-return times <= n0 over count candidates first_q, first_q+8, ...
 
-    Lanes double in parallel, _LANE_CHUNK at a time, in buffers allocated
-    once per call at the width _lane_dtype gives the call's largest q.  Each
-    chunk runs as views of them at the width _lane_dtype gives its own
-    largest q, so its lane width w is 32 or 64 and that q is below 2**(w-1).
+    Lanes double in parallel in chunks of at most _LANE_CHUNK, cut also at
+    every power of two from _SPLIT_FLOOR up, in buffers allocated once per
+    call at the width _lane_dtype gives the call's largest q.  Each chunk
+    runs as views of them at the width _lane_dtype gives its own largest q,
+    so its lane width w is 32 or 64 and that q is below 2**(w-1).
 
     Each chunk skips its known prefix: with k = floor(log2) of the chunk's
     smallest q, every lane has 2**j < q for j <= k, so its residue after k
@@ -121,47 +134,59 @@ def _census_block(first_q: int, count: int, n0: int) -> np.ndarray:
     with 2**k and steps k+1..n0.
 
     A chunk then advances J doublings per pass, s = r << J, and reduces s
-    to 2**J * r mod q in one of two ways, a rule on its q:
+    to 2**J * r mod q in one of two ways, a rule on its k:
 
-    * The estimate, when J = min(k, 31 - bitlen(largest q)) >= _ESTIMATE_JUMP
-      (k >= 5 and every q below 2**26, so w = 32).  Then s < 2**31 reads
-      the same as int32.  With inv = float32((1 - 2**-20) / q), made once
-      per chunk, the quotient estimate d = int32(float32(s) * inv) takes
-      four float32 roundings of at most 2**-24 each (q, the division, s,
-      the product), so it lies within a factor 1 +- 2**-21 of
-      (1 - 2**-20) * s / q: below s / q, and short of it by less than
-      2**-19 * s / q < 2**(J - 19).  J <= k < bitlen(q) and
-      J <= 31 - bitlen(q) give J <= 15, so the shortfall is below 1/16 and
-      d is floor(s / q) or one less.  Then d * q <= s, s - d * q lies in
-      0 .. 2q - 1, and one pair, r = min(t, t - q), ends the pass: t - q
-      wraps above t when t < q.  A pass costs ten array operations, the
-      read included, whatever J is.
-    * The subtract jump otherwise: J = min(_JUMP, k, w - bitlen(largest q))
-      >= 1, then s = min(s, s - (q << i)) for i = J-1 .. 0.  Every sum is
-      exact in wrapping unsigned arithmetic, because s < q << (i + 1) <=
-      q << J < 2**w before the subtraction at i: it wraps above s when
-      s < q << i.  A pass costs one shift, J subtract/min pairs and a read.
+    * The quotient estimate, for k >= _ESTIMATE_JUMP.  J = min(k, 19) in
+      uint32 lanes and min(k, 44) in uint64 lanes, and
+      inv = (1 - beta) * 2**J / q is made once per chunk in float32 with
+      beta = 2**-20, or in float64 with beta = 2**-46.  A pass takes
+      d = int(float(r) * inv), t = s - d*q and one pair r = min(t, t - q):
+      t - q wraps above t when t < q.  s and d*q may wrap, but their
+      difference is exact as long as its true value, 2**J * r - d*q, lies
+      in 0 .. 2q - 1 < 2**w, that is, as long as d is floor(2**J * r / q)
+      or one less.  Four roundings (q, the division, r, the product) keep
+      float(r) * inv within a factor 1 +- 2**-22 (float32) or 1 +- 2**-51
+      (float64) of (1 - beta) * 2**J * r / q.  So it lies below
+      2**J * r / q, and short of it by less than 2**J * 1.25 * 2**-20 <=
+      0.625 (float32, J <= 19) or 2**J * 1.04 * 2**-46 < 0.27 (float64,
+      J <= 44), since r < q.  r < 2**(w-1) is cast through the signed
+      type, and d < 2**J is exact in either float.  The last, short pass
+      of step < J doublings scales inv by 2**(step - J), which is exact.
+    * The subtract jump, for k < _ESTIMATE_JUMP: J = min(_JUMP, k), then
+      s = min(s, s - (q << i)) for i = J-1 .. 0.  Such a chunk lies below
+      _SPLIT_FLOOR, so q << J < 2**w, and before the subtraction at i
+      s < q << (i + 1): s - (q << i) wraps above s when s < q << i.  In a
+      census it reduces only each stream's bottom chunk, from q = 7 or 9.
 
     The last jump of a chunk is cut to the steps left.  Every q in the chunk
     exceeds 2**k, so its order exceeds k >= J and a lane returns to 1 at
     most once in a jump.  A lane that first returned at step j - e, e < J,
-    ends the jump at j on r = 2**e, and r = 2**e < q at j means
-    2**(j-e) = 1 mod q.  Such a lane contributes to v(j - e) and is then
-    parked where its pass keeps it: at r = q under the subtract jump, at
-    r = 0 under the estimate, so it never counts again.  Every other residue
-    lies in 1..q-1, so one read per pass tells whether any lane may have
-    returned, r.min() < 2**J, or (r - 1).min() < 2**J - 1 where parked lanes
-    wrap to the top; only then are those residues found and the powers of
-    two among them counted.
+    ends the jump at j on r = 2**e, and 2**e < q at j means
+    2**(j-e) = 1 mod q.  One read per pass tells whether any lane may have
+    returned: under the estimate the exact (r & (r - 1)).min() == 0, some r
+    is a power of two; under the subtract jump r.min() < 2**step, one
+    operation where the exact read takes three.  Only then are the lanes
+    found whose r is a power of two below 2**step, 2**(step-1) % r == 0,
+    and counted: a chunk that spans octaves below _SPLIT_FLOOR also holds
+    unreduced residues 2**j >= 2**(k + step).  A counted lane is then
+    parked where it never reads as a power of two below 2**step: at r = q
+    under the subtract jump, where q > 2**J, and on the 7-cycle (q = 7,
+    r = 3, inv made for 7: residues 3, 6, 5) under the estimate, whose pass
+    would take r = q to 0.
     """
     size = min(_LANE_CHUNK, count)
     widest = _lane_dtype(first_q + 8 * (count - 1))
-    # q, r, t, then q << 1 .. q << (_JUMP - 1) or the estimate's inv and float32(s)
+    # q, r, t, then q << 1 .. q << (_JUMP - 1) or the estimate's inv and float(r)
     buffers = [np.empty(size, dtype=widest) for _ in range(2 + _JUMP)]
     offsets = np.arange(0, 8 * size, 8, dtype=np.uint32)
     v = np.zeros(n0 + 1, dtype=np.int64)
-    for start in range(0, count, _LANE_CHUNK):
-        _census_chunk(first_q + 8 * start, min(_LANE_CHUNK, count - start), n0, buffers, offsets, v)
+    start = 0
+    while start < count:
+        q_lo = first_q + 8 * start
+        edge = max(1 << q_lo.bit_length(), _SPLIT_FLOOR)  # the next cut above q_lo
+        n = min(_LANE_CHUNK, count - start, (edge - q_lo + 7) // 8)
+        _census_chunk(q_lo, n, n0, buffers, offsets, v)
+        start += n
     return v
 
 
@@ -172,19 +197,20 @@ def _census_chunk(q_lo: int, n: int, n0: int, buffers: list[np.ndarray], offsets
     offsets holds 0, 8, 16, ...; the chunk's q, q_lo + offsets, go into the
     first buffer.
     """
-    q_hi = q_lo + 8 * (n - 1)
-    dtype = _lane_dtype(q_hi)
+    dtype = _lane_dtype(q_lo + 8 * (n - 1))
     qs, r, t, *spare = (b.view(dtype)[:n] for b in buffers)
     np.add(offsets[:n], dtype(q_lo), out=qs)
     k = q_lo.bit_length() - 1
-    jump = min(k, 31 - q_hi.bit_length())
-    estimate = jump >= _ESTIMATE_JUMP
+    estimate = k >= _ESTIMATE_JUMP
     if estimate:
-        inv, f = (b.view(np.float32) for b in spare)
-        np.divide(np.float32(1 - 2**-20), qs, out=inv, dtype=np.float32)
-        s, d = t.view(np.int32), r.view(np.int32)
+        real, signed, longest, bias = _ESTIMATE[dtype]
+        jump = min(k, longest)
+        scale = real((1 - bias) * 2**jump)
+        inv, f = (b.view(real) for b in spare)
+        np.divide(scale, qs, out=inv, dtype=real)
+        inv_7, r_signed = scale / real(7), r.view(signed)
     else:
-        jump = min(_JUMP, k, 8 * qs.itemsize - q_hi.bit_length())
+        jump = min(_JUMP, k)
         shifted = [qs, *spare][:jump]  # q << i, i = 0 .. jump - 1
         for i in range(1, jump):
             np.left_shift(qs, i, out=shifted[i])
@@ -192,27 +218,34 @@ def _census_chunk(q_lo: int, n: int, n0: int, buffers: list[np.ndarray], offsets
     j = k
     while j < n0:
         step = min(jump, n0 - j)
-        np.left_shift(r, step, out=t if estimate else r)
+        np.left_shift(r, step, out=t if estimate else r)  # s, which may wrap under the estimate
         if estimate:
-            np.copyto(f, s)  # from int32: s < 2**31
+            if step < jump:  # the last pass: inv * 2**(step - jump) is exact
+                np.multiply(inv, real(2.0 ** (step - jump)), out=inv)
+            np.copyto(f, r_signed)
             np.multiply(f, inv, out=f)
-            np.copyto(d, f, casting="unsafe")  # d, in r: floor(s / q) or one less
+            np.copyto(r_signed, f, casting="unsafe")  # d, in r: floor(2**step * r / q) or one less
             np.multiply(r, qs, out=r)
             np.subtract(t, r, out=t)  # s - d*q, in 0 .. 2q - 1
             np.subtract(t, qs, out=r)
             np.minimum(t, r, out=r)
-            low, bound = np.subtract(r, 1, out=t), (1 << step) - 1  # parked lanes, at 0, wrap to the top
         else:
             for q_i in reversed(shifted[:step]):
                 np.subtract(r, q_i, out=t)
                 np.minimum(r, t, out=r)
-            low, bound = r, 1 << step
         j += step
+        if estimate:  # exact: r & (r - 1) is 0 where r is a power of two
+            low, bound = np.bitwise_and(r, np.subtract(r, 1, out=t), out=t), 1
+        else:
+            low, bound = r, 1 << step
         if low.min() < bound:
             lanes = (low < bound).nonzero()[0]
-            lanes = lanes[np.bitwise_count(r[lanes]) == 1]  # r = 2**e: a first return at j - e
+            lanes = lanes[(1 << step - 1) % r[lanes] == 0]  # r = 2**e, e < step: a return at j - e
             np.add.at(v, j - np.bitwise_count(r[lanes] - 1).astype(np.intp), 1)
-            r[lanes] = 0 if estimate else qs[lanes]
+            if estimate:
+                qs[lanes], r[lanes], inv[lanes] = 7, 3, inv_7
+            else:
+                r[lanes] = qs[lanes]
 
 
 def _slices(first_q: int, count: int, parts: int) -> list[tuple[int, int]]:
@@ -226,7 +259,7 @@ def run_census(n0: int, workers: int = 1) -> MersenneCensus:
 
     With more than one worker (at most one per core) and at least
     _POOL_MIN_LANES candidates, each candidate stream is cut into one
-    contiguous slice per worker, and the pool takes them highest q first.
+    contiguous slice per worker, and the pool takes them in stream order.
     A bound of 2**63 or more (n0 = 127) fails up front with CapacityError.
     """
     bound = sqrt_of_mersenne(n0)
@@ -235,9 +268,7 @@ def run_census(n0: int, workers: int = 1) -> MersenneCensus:
     workers = min(workers, os.cpu_count() or 1)
     v = np.zeros(n0 + 1, dtype=np.int64)
     if workers > 1 and sum(count for _, count in streams) >= _POOL_MIN_LANES:
-        # Highest q first: J falls and lanes widen as q grows, so cheap slices fill the tail.
-        tasks = sorted(((first, size, n0) for stream in streams
-                        for first, size in _slices(*stream, workers)), reverse=True)
+        tasks = [(first, size, n0) for stream in streams for first, size in _slices(*stream, workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_census_block, *zip(*tasks)):
                 v += part

@@ -134,8 +134,8 @@ def test_census_filter_loses_no_divisor():
 
 
 def test_census_workers_deterministic():
-    # n0=31 and n0=41 stay in-process; n0=47 goes to the pool.
-    for n0 in (31, 41, 47):
+    # n0=31 and n0=47 stay in-process; n0=53 goes to the pool.
+    for n0 in (31, 47, 53):
         assert run_census(n0, workers=1) == run_census(n0, workers=2)
 
 
@@ -178,7 +178,7 @@ def _tally_by_divisors(n0):
             for j in range(3, n0 + 1)}
 
 
-@pytest.mark.parametrize("n0", [31, 41, 43, 47, 53, pytest.param(61, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("n0", [31, 41, 43, 47, 53, 61])
 def test_census_counts_match_divisors_of_mersenne_numbers(n0):
     assert run_census(n0, workers=2).counts == _tally_by_divisors(n0)
 
@@ -216,9 +216,9 @@ def test_census_chunk_and_dtype_boundaries(monkeypatch):
         counts = run_census(n0).counts
         assert counts == {j: c for j, c in enumerate(_capped_tally(iter_candidates(n0), n0)) if j >= 3}
     # Windows of 40 lanes, in chunks of 7: the top lanes under the bound of
-    # n0=61 (uint32, 2r above 2**31) and of n0=67 (uint64), the top uint32
-    # lanes (last q = 2**32 - 1, period 32), and windows around q with
-    # period <= n0 a million lanes below those bounds.
+    # n0=61 (uint32, where s = r << 19 wraps) and of n0=67 (uint64), the
+    # lanes just under 2**32 (last q = 2**32 - 1, period 32), and windows
+    # around q with period <= n0 a million lanes below those bounds.
     windows = [
         (61, sqrt_of_mersenne(61) - 8 * 39),
         (67, 2**32 - 1 - 8 * 39),
@@ -228,9 +228,9 @@ def test_census_chunk_and_dtype_boundaries(monkeypatch):
         (67, 12135901505 - 8 * 20),  # period 60
         # The lane width follows the chunk's largest q.  Lanes 14..20 of the
         # first window end exactly at q = 2**31 - 1 (period 31) and run as
-        # uint32 jumps of one; lanes 21..27, above 2**31, as uint64 jumps of
-        # three.  In the second, lanes 14..20 straddle 2**31 with
-        # q = 2**31 + 1 (period 62) inside and run as uint64.
+        # float32 jumps of 19; lanes 21..27, above 2**31, as float64 jumps
+        # of 31.  In the second, the cut at 2**31 ends a chunk of three
+        # lanes at 2**31 - 7 and starts one at q = 2**31 + 1 (period 62).
         (61, 2**31 - 1 - 8 * 20),
         (67, 2**31 + 1 - 8 * 17),
     ]
@@ -239,51 +239,97 @@ def test_census_chunk_and_dtype_boundaries(monkeypatch):
         assert list(census._census_block(first, 40, n0)) == _capped_tally(qs, n0), (n0, first)
 
 
-def _width(q_hi):
-    """Lane width in bits of a chunk whose largest q is q_hi."""
-    return 32 if q_hi < 2**31 else 64
-
-
 def _jump(q_lo, q_hi):
-    """(reduction, doublings per pass) of a chunk from q_lo to q_hi."""
+    """(form, doublings per pass) of a chunk from q_lo to q_hi: the subtract jump below k = 5, else the estimate."""
     k = q_lo.bit_length() - 1
-    estimate = min(k, 31 - q_hi.bit_length())
-    if estimate >= census._ESTIMATE_JUMP:
-        return "estimate", estimate
-    return "subtract", min(census._JUMP, k, _width(q_hi) - q_hi.bit_length())
+    if k < census._ESTIMATE_JUMP:
+        return "subtract", min(census._JUMP, k)
+    return ("float32", min(k, 19)) if q_hi < 2**31 else ("float64", min(k, 44))
 
 
-# Every jump length of either reduction: the estimate's J = min(k, 31 -
-# bitlen(largest q)) is at most 15, with k = 15 and q below 2**16.
-_JUMP_LENGTHS = {("subtract", jump) for jump in range(1, census._JUMP + 1)} | {
-    ("estimate", jump) for jump in range(census._ESTIMATE_JUMP, 16)}
+# Every jump length that the window test below reaches: the subtract jump
+# runs only where k = 2 (q = 7) or k = 3, 4; the float32 estimate's
+# J = min(k, 19) takes every length from 5; float64 chunks have k >= 31.
+_JUMP_LENGTHS = {("subtract", 2), ("subtract", 3)} | {
+    ("float32", jump) for jump in range(census._ESTIMATE_JUMP, 20)} | {("float64", jump) for jump in (31, 32, 43, 44)}
 
 
-def test_census_block_matches_unskipped_lanes_across_jump_edges(monkeypatch):
+@pytest.fixture
+def chunks(monkeypatch):
+    """The (smallest q, lanes) of every chunk that _census_block runs, in order."""
+    seen = []
+    run = census._census_chunk
+
+    def spy(q_lo, n, *args):
+        seen.append((q_lo, n))
+        run(q_lo, n, *args)
+
+    monkeypatch.setattr(census, "_census_chunk", spy)
+    return seen
+
+
+def test_census_block_cuts_chunks_at_powers_of_two(chunks):
+    # Below 2**16 each stream is one chunk.  From 2**16 up every power of
+    # two ends a chunk, and from 2**18 up an octave holds whole chunks.
+    census._census_block(7, 2**13, 31)
+    census._census_block(2**16 + 1 - 8 * 20, 40, 61)
+    census._census_block(2**18 + 1, 3 * 2**15, 61)
+    assert chunks == [(7, 2**13), (2**16 - 159, 20), (2**16 + 1, 20),
+                      (2**18 + 1, 2**15), (2**19 + 1, 2**15), (2**19 + 2**18 + 1, 2**15)]
+    chunks.clear()
+    assert run_census(47).counts == _tally_by_divisors(47)
+    bottom = [(q_lo, n) for q_lo, n in chunks if q_lo < 2**16]
+    assert bottom == [(7, 2**13), (9, 2**13 - 1)]
+    for q_lo, n in chunks:
+        k = q_lo.bit_length() - 1
+        assert q_lo < 2**16 or q_lo + 8 * (n - 1) < 2 ** (k + 1)
+        assert q_lo < 2**18 or n == census._LANE_CHUNK or q_lo + 8 * n > sqrt_of_mersenne(47)
+
+
+def test_census_block_matches_unskipped_lanes_across_jump_edges(monkeypatch, chunks):
     # Windows of 40 lanes in chunks of 7 against lanes that take every step
-    # from r = 1.  Windows from q = 7 and 9, where k bounds the jump; across
-    # 2**e for e = 8 .. 16 and 25, where the estimate's J runs 15 .. 5;
-    # across 2**26, where one call hands over from estimate jumps of 5 to
-    # subtract jumps of 3; across 2**29 and 2**30, where the subtract jump
-    # goes 3 -> 2 -> 1 in uint32; across 2**31, where one call runs uint32
-    # jumps of one and uint64 jumps of three; across 2**32; across 2**61 and
-    # 2**62, where it goes 3 -> 2 -> 1 in uint64.
+    # from r = 1.  Windows from q = 7 and 9, where k bounds the jump and
+    # chunks span octaves; across 2**e for e = 8 .. 20, where the float32
+    # estimate's J = min(k, 19) runs 7 .. 19; across 2**25, 2**26, 2**29 and
+    # 2**30, all on J = 19; across 2**31, where one call hands float32 jumps
+    # of 19 over to float64 jumps of 31; across 2**32, 2**44 and 2**45, where
+    # J = min(k, 44) reaches 44; across 2**61 and 2**62.
     monkeypatch.setattr(census, "_LANE_CHUNK", 7)
     windows = [(31, 7), (31, 9)]
-    windows += [(61, 2**e + 1 - 8 * 20) for e in (*range(8, 17), 25, 26)]
+    windows += [(61, 2**e + 1 - 8 * 20) for e in (*range(8, 21), 25, 26)]
     windows += [(67, 2**e + 1 - 8 * 20) for e in (29, 30, 31, 32)]
-    windows += [(127, 2**e + 1 - 8 * 20) for e in (61, 62)]
+    windows += [(127, 2**e + 1 - 8 * 20) for e in (44, 45, 61, 62)]
     jumps = set()
     for n0, first in windows:
         qs = [first + 8 * i for i in range(40)]
-        chunks = {(_width(qs[min(i + 6, 39)]), *_jump(qs[i], qs[min(i + 6, 39)])) for i in range(0, 40, 7)}
-        if first < 2**26 < qs[-1]:
-            assert {(32, "estimate", 5), (32, "subtract", 3)} <= chunks
-        if first < 2**31 < qs[-1]:
-            assert {(32, "subtract", 1), (64, "subtract", 3)} <= chunks
-        jumps |= {(reduction, jump) for _, reduction, jump in chunks}
+        chunks.clear()
         assert list(census._census_block(first, 40, n0)) == list(oracles.first_returns_capped(qs, n0)), (n0, first)
+        forms = {_jump(q_lo, q_lo + 8 * (n - 1)) for q_lo, n in chunks}
+        if first < 2**26 < qs[-1]:
+            assert forms == {("float32", 19)}
+        if first < 2**31 < qs[-1]:
+            assert forms == {("float32", 19), ("float64", 31)}
+        jumps |= forms
     assert jumps == _JUMP_LENGTHS
+
+
+def test_census_chunk_leaves_every_residue_reduced():
+    # After a chunk every lane that returned sits on q = 7 at residue 3, 6
+    # or 5, and every other lane at 2**n0 mod q: no pass left t outside
+    # 0 .. 2q - 1.  Without its bias, about one estimate in a thousand
+    # would round past floor(2**J * r / q) in the float64 chunks.
+    cases = [(2**13 - 1 - 8 * 10, 21, 40), (2**29 - 1 - 8 * 10, 21, 127), (2**31 + 1, 21, 127),
+             (2**30 + 1, 4000, 127), (2**44 + 1, 4000, 127), (2**56 + 7, 4000, 113)]
+    for q_lo, n, n0 in cases:
+        dtype = census._lane_dtype(q_lo + 8 * (n - 1))
+        buffers = [np.empty(n, dtype=dtype) for _ in range(5)]
+        v = np.zeros(n0 + 1, dtype=np.int64)
+        census._census_chunk(q_lo, n, n0, buffers, np.arange(0, 8 * n, 8, dtype=np.uint32), v)
+        qs, r = buffers[0].tolist(), buffers[1].tolist()
+        parked = [i for i in range(n) if qs[i] == 7]
+        assert len(parked) == v.sum() and (len(parked) >= 1 or n == 4000), q_lo
+        assert {r[i] for i in parked} <= {3, 5, 6}, q_lo
+        assert all(r[i] == pow(2, n0, q_lo + 8 * i) for i in range(n) if qs[i] != 7), q_lo
 
 
 @st.composite
@@ -308,66 +354,85 @@ def test_census_block_matches_unskipped_lanes(window):
 
 def test_census_block_counts_each_step_of_a_jump():
     # One lane of a q of small order j, a divisor of 2**j - 1 that divides
-    # no 2**(j/p) - 1, capped at n0 = j .. j + max(J, _JUMP) - 1: its first
+    # no 2**(j/p) - 1, capped at n0 = j .. j + max(J, 3) - 1: its first
     # return falls on every step of a full jump and of every shorter final
-    # jump, of both reductions, and is counted at j once.  A jump of 15
-    # needs k = 15, q below 2**16, so its returns fall on step
-    # (j - 16) % 15 + 1: step 2 from j = 92 (q = 39057), step 11 from
-    # j = 56 (q = 55709), and step 8 from no q of order below 188, so that
-    # step is never reached.
+    # jump, and is counted at j once.  The orders j = 10 .. 47 reach every
+    # step of the subtract jump and of the float32 estimate.  A float64
+    # chunk has k >= 31, so they return at most 16 doublings into a pass
+    # there: they reach its steps 1 .. 14 only, at lengths 1 .. 44.
     lanes = [(q, j) for j in range(10, 48) for q in _divisors((1 << j) - 1) if q > 8 and _has_order(q, j)]
     seen, jumps = set(), set()
-    for q, j in [*lanes, (39057, 92), (55709, 56)]:
-        reduction, jump = _jump(q, q)
-        jumps.add((reduction, jump))
+    for q, j in lanes:
+        form, jump = _jump(q, q)
+        jumps.add((form, jump))
         k = q.bit_length() - 1
         start = k + (j - k - 1) // jump * jump  # steps done when the jump holding j begins
         for n0 in range(j, j + max(jump, census._JUMP)):
-            seen.add((reduction, j - start, min(jump, n0 - start)))
+            seen.add((form, j - start, min(jump, n0 - start)))
             v = census._census_block(q, 1, n0)
             assert v[j] == 1 and v.sum() == 1, (q, n0)
-    assert jumps == _JUMP_LENGTHS
-    longest = {"subtract": census._JUMP, "estimate": 15}
-    every_step = {(reduction, step, length) for reduction in longest
-                  for length in range(1, longest[reduction] + 1) for step in range(1, length + 1)}
-    assert seen == every_step - {("estimate", 8, 15)}
+    assert jumps == _JUMP_LENGTHS - {("subtract", 2)} | {("float64", jump) for jump in range(31, 45)}
+    longest = {"subtract": census._JUMP, "float32": 19}
+    assert {step for step in seen if step[0] in longest} == {
+        (form, step, length) for form in longest
+        for length in range(1, longest[form] + 1) for step in range(1, length + 1)}
+    assert {step for form, step, _ in seen if form == "float64"} == set(range(1, 15))
+    assert {length for form, _, length in seen if form == "float64"} == set(range(1, 45))
 
 
 def test_census_estimate_passes_ending_next_to_a_multiple_of_q():
-    # A pass that ends on residue 1 or q - 1 has s = m*q + 1 or (m+1)*q - 1,
-    # where s / q lies nearest an integer and the estimate's d must still be
-    # m or m - 1.  Lanes q | 2**x - 1 of order x and q | 2**x + 1 of order
-    # 2x, with x a pass end k + i*J, for every estimate length J, both at
-    # the smallest k = J (q below 2**(J+1)) and the largest k = 30 - J (q
-    # below 2**(31-J)).  Each counts once at its order, if that is <= n0.
-    # No divisor of 2**x + 1, x < 64, ends a pass of 8 from k = 8 on q - 1;
-    # 449 does at x = 112.
-    n0, lengths = 113, range(census._ESTIMATE_JUMP, 16)
-    lanes = {(449, 224, 112, 8, 8)}  # (q, order, pass end x, J, k)
-    for jump in lengths:
-        for k in {jump, 30 - jump}:
-            for x in range(k + jump, 64, jump):
-                for order, m in ((x, (1 << x) - 1), (2 * x, (1 << x) + 1)):
-                    lanes |= {(q, order, x, jump, k) for q in _divisors(m)
-                              if q.bit_length() == k + 1 and _has_order(q, order)}
+    # A pass that ends on residue 1 or q - 1 has 2**J * r = m*q + 1 or
+    # (m+1)*q - 1, where the quotient lies nearest an integer and the
+    # estimate's d must still be m or m - 1.  Lanes q | 2**x - 1 of order x
+    # and q | 2**x + 1 of order 2x, with x < 64 a pass end k + i*J, for
+    # every float32 length J = 5 .. 19 at its smallest k = J (q below
+    # 2**(J+1)) and for float64 J = k = 31.  Each counts once at its order,
+    # if that is <= n0.  None ends a pass of 8 or 16 on q - 1: 449 does at
+    # x = 112, and no q below 2**17 does before it has returned (65537 has
+    # order 32).  At the largest float32 k = 30 none does for x < 64:
+    # 1149816047 and 2033100449 end passes of 19 on 1 at x = 68 and 87, and
+    # 1610612739 (order 174) on q - 1 at x = 87.  q = 2**k + 1 has order 2k,
+    # so its first pass, of J = k, ends on 1: every float64 length 32 .. 44.
+    n0 = 127
+    passes = [(jump, jump) for jump in range(census._ESTIMATE_JUMP, 20)] + [(19, 30), (31, 31)]  # (J, k)
+    lanes = {(449, 224, 112, 8, 8), (1149816047, 68, 68, 19, 30), (2033100449, 87, 87, 19, 30),
+             (1610612739, 174, 87, 19, 30)}  # (q, order, pass end x, J, k)
+    lanes |= {(2**k + 1, 2 * k, 2 * k, k, k) for k in range(32, 45)}
+    for jump, k in passes:
+        for x in range(k + jump, 64, jump):
+            for order, m in ((x, (1 << x) - 1), (2 * x, (1 << x) + 1)):
+                lanes |= {(q, order, x, jump, k) for q in _divisors(m)
+                          if q.bit_length() == k + 1 and _has_order(q, order)}
     assert {(order == x, jump, k) for _, order, x, jump, k in lanes} == {
-        (ends_on_1, jump, k) for jump in lengths for k in (jump, 30 - jump) for ends_on_1 in (True, False)}
+        (ends_on_1, jump, k) for jump, k in passes for ends_on_1 in (True, False)} - {
+        (False, 16, 16)} | {(True, k, k) for k in range(32, 45)}
     for q, order, x, jump, k in sorted(lanes):
         assert pow(2, x, q) == (1 if order == x else q - 1) and (x - k) % jump == 0
-        assert _jump(q, q) == ("estimate", jump)
+        assert _jump(q, q) == ("float32" if q < 2**31 else "float64", jump)
         assert list(census._census_block(q, 1, n0)) == [int(j == order) for j in range(n0 + 1)], q
 
 
 def test_census_block_counts_an_order_once():
-    # 2**13 - 1 returns to 1 at steps 13, 26 and 39 in an estimate chunk,
-    # alone and among 20 other lanes; 2**29 - 1 at steps 29 and 58 in a
-    # subtract chunk.  Only the first return counts.
-    for first, count, n0 in ((2**13 - 1, 1, 40), (2**13 - 1 - 8 * 10, 21, 40), (2**29 - 1, 1, 61)):
-        qs = [first + 8 * i for i in range(count)]
-        assert _jump(qs[0], qs[-1])[0] == ("estimate" if first < 2**26 else "subtract")
+    # Only a lane's first return counts.  It then parks and rides at least
+    # two more passes, the last short one among them: 31 (order 5) in a
+    # subtract chunk at r = q, passes ending at 7, 10, 13 and 14; the rest
+    # on the 7-cycle.  float32: 2**13 - 1 (J = 12, returns at 13, 26 and 39
+    # of passes ending at 24, 36 and 40), alone and among 20 other lanes;
+    # 2**29 - 1 (J = 19, passes ending at 47, 66, ... 123, 127).  float64:
+    # 2**31 + 1 (order 62, J = 31) returns exactly at the end of its first
+    # pass, then rides passes ending at 93, 124 and 127, alone and among 20
+    # lanes of which 10 run float32; 2**37 - 1 (J = 36) at 72, 108, 127.
+    cases = [(31, 1, 14, 5), (2**13 - 1, 1, 40, 13), (2**13 - 1 - 8 * 10, 21, 40, 13), (2**29 - 1, 1, 127, 29),
+             (2**31 + 1, 1, 127, 62), (2**31 + 1 - 8 * 10, 21, 127, 62), (2**37 - 1, 1, 127, 37)]
+    forms = set()
+    for first, count, n0, order in cases:
+        q = first + 8 * (count // 2)
+        forms.add(_jump(q, q)[0])
+        assert pow(2, order, q) == 1 and _has_order(q, order)
         v = census._census_block(first, count, n0)
-        assert list(v) == list(oracles.first_returns_capped(qs, n0))
-        assert v[13 if first < 2**26 else 29] == 1
+        assert list(v) == list(oracles.first_returns_capped([first + 8 * i for i in range(count)], n0))
+        assert v[order] == 1, (first, count)
+    assert forms == {"subtract", "float32", "float64"}
 
 
 def test_census_multiple_witnesses_mean_composite():
