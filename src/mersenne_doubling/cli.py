@@ -16,6 +16,7 @@ import argparse
 import os
 import sys
 from functools import cache
+from pathlib import Path
 from time import perf_counter
 
 from .census import candidate_count, run_census
@@ -123,6 +124,11 @@ def cmd_period(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    try:
+        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way: fail before the scan, not after it
+        print(f"error: --out-dir: {exc}", file=sys.stderr)
+        return 2
     start = perf_counter()
     report = scan_range(args.q_lo, args.q_hi, large_threshold=args.threshold, workers=args.workers)
     elapsed = perf_counter() - start

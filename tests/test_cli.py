@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from mersenne_doubling import cli
 from mersenne_doubling.cli import main
+from mersenne_doubling.detector import STREAM_FILES
 
 
 def run_cli(capsys, *args):
@@ -160,6 +162,29 @@ def test_scan_usage_error(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert not (tmp_path / "even_periods.tsv").exists()
+
+
+def test_scan_out_dir_in_the_way_fails_before_the_scan(capsys, monkeypatch, tmp_path):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scan_range ran before --out-dir was checked")
+
+    monkeypatch.setattr(cli, "scan_range", no_scan)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out_dir in (blocker, blocker / "sub"):  # FileExistsError, NotADirectoryError
+        code, out, err = run_cli(capsys, "scan", 5, 99, "--out-dir", out_dir)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --out-dir: ") and err.count("\n") == 1
+
+
+def test_scan_rewrites_out_dir_without_stale_bytes(capsys, tmp_path):
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    assert run_cli(capsys, "scan", 5, 99, "--out-dir", reused, "--workers", 1)[0] == 0
+    assert run_cli(capsys, "scan", 5, 15, "--out-dir", reused, "--workers", 1)[0] == 0
+    assert run_cli(capsys, "scan", 5, 15, "--out-dir", fresh, "--workers", 1)[0] == 0
+    for name in STREAM_FILES.values():
+        assert (reused / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
 def test_mersenne_test_output(capsys):

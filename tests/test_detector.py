@@ -1,5 +1,7 @@
 import importlib
 import itertools
+import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -201,6 +203,34 @@ def test_write_report(tmp_path):
     assert paths[STREAM_SMALL_PRIME].read_bytes() == b"3\t7\t3\n"
     assert paths[STREAM_LARGE_PRIME].read_bytes() == b""
     assert paths[STREAM_ODD_NONPRIME].read_bytes() == b""
+
+
+def test_write_report_leaves_no_stale_bytes(tmp_path):
+    # Rewriting a directory leaves each file as a fresh write would, with no
+    # bytes of a longer earlier report after the new rows.
+    reused = tmp_path / "reused"
+    reports = [scan_range(lo, hi) for lo, hi in [(5, 999), (5, 15), (5, 99)]]
+    # odd-nonprime goes from rows to empty and back to rows.
+    assert [bool(report.odd_nonprime) for report in reports] == [True, False, True]
+    for i, report in enumerate(reports):
+        paths = write_report(report, reused)
+        fresh = write_report(report, tmp_path / f"fresh-{i}")
+        for tag in STREAM_FILES:
+            assert paths[tag].read_bytes() == fresh[tag].read_bytes(), (report.q_hi, tag)
+
+
+def test_write_report_new_file_mode(tmp_path):
+    # A new stream file gets the mode open(path, "w") would give it.
+    old_umask = os.umask(0o027)
+    try:
+        paths = write_report(scan_range(5, 15), tmp_path / "out")
+        with open(tmp_path / "plain", "w"):
+            pass
+    finally:
+        os.umask(old_umask)
+    assert stat.S_IMODE((tmp_path / "plain").stat().st_mode) == 0o640
+    for path in paths.values():
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640, path.name
 
 
 def test_find_divisor_examples():
