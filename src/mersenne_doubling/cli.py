@@ -28,7 +28,7 @@ from .detector import (
     scan_range,
     write_report,
 )
-from .dynamics import _check_kappa, _lane_bits, flying_time_histogram, period_hybrid, period_of
+from .dynamics import _check_kappa, _plan, _Plan, flying_time_histogram, period_hybrid, period_of
 from .errors import CapacityError
 from .primality import DEFAULT_PRIME_BOUND, build_prime_table, is_prime
 
@@ -101,12 +101,15 @@ def _parse_kappa_range(text: str) -> list[int]:
     return _parse_int_list(text)
 
 
-def _report_stream(q: int, period: int, elapsed: float) -> None:
-    """One stderr summary line for a command that streamed the period's doublings."""
-    path = "lanes" if _lane_bits(q, period) else "bigint"
+def _report_stream(q: int, plan: _Plan, elapsed: float) -> None:
+    """One stderr summary line for a command that counted the steps or flights of the period.
+
+    plan is the library's own plan for the command, rebuilt from q and the
+    period: it factors q again only for an orbit long enough to be split.
+    """
     print(
-        f"q={q} period={period} path={path} doublings={period} "
-        f"ns_per_doubling={elapsed * 1e9 / period:.3f} seconds={elapsed:.6f}",
+        f"q={q} period={plan.n} path={plan.path} doublings={plan.n} "
+        f"ns_per_doubling={elapsed * 1e9 / plan.n:.3f} seconds={elapsed:.6f}",
         file=sys.stderr,
     )
 
@@ -119,14 +122,18 @@ def cmd_period(args: argparse.Namespace) -> int:
         print(f"{args.q}\t{result.period}\t{result.steps}\t{elapsed:.6f}")
     else:
         print(f"q={args.q} period={result.period} steps={result.steps} seconds={elapsed:.6f}")
-    _report_stream(args.q, result.period, elapsed)
+    _report_stream(args.q, _plan(args.q, result.period, histogram=False), elapsed)
     return 0
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    try:
-        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # a file in the way: fail before the scan, not after it
+    out = Path(args.out_dir)
+    try:  # a file in the way of the directory or of a stream file fails before the scan, not after it
+        out.mkdir(parents=True, exist_ok=True)
+        for name in STREAM_FILES.values():
+            if (out / name).exists():
+                os.close(os.open(out / name, os.O_WRONLY))  # opened for writing, left as it is
+    except OSError as exc:
         print(f"error: --out-dir: {exc}", file=sys.stderr)
         return 2
     start = perf_counter()
@@ -149,7 +156,7 @@ def cmd_histogram(args: argparse.Namespace) -> int:
     elapsed = perf_counter() - start
     for t, count in hist.counts.items():
         print(f"{t}\t{count}")
-    _report_stream(args.q, hist.period, elapsed)
+    _report_stream(args.q, _plan(args.q, hist.period, histogram=True), elapsed)
     return 0
 
 

@@ -24,6 +24,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
+from .errors import CapacityError
 from .primality import factor
 
 U64_MAX = 2**64 - 1
@@ -178,8 +179,11 @@ def period_hybrid(q: int, kappa: int = DEFAULT_KAPPA) -> PeriodResult:
 #
 # The period is the order of 2 mod q (_order), for every odd q >= 3:
 # period_of, period_capped and flying_time_histogram all start from it, and
-# the scan reads nothing else.  Steps and flying times come from the wrap bits
-# of its n doublings: k doublings from residue x are one division,
+# the scan reads nothing else.  Then one plan (_plan, below) picks how the
+# steps or flights are counted: for composite q, often from the orbits mod
+# two coprime factors (the split, below); otherwise, and in the tests as the
+# split's oracle, from the wrap bits of the n doublings (the stream).
+# k doublings from residue x are one division,
 # x << k = digit * q + new_x, whose quotient digit has a set bit at every
 # doubling that wrapped past q.  Steps = popcount, flying times = gaps between
 # set bits: inside a 16-bit word from _gap_table, across words from
@@ -235,19 +239,24 @@ _LANE_MIN_DOUBLINGS = 1 << 20
 # 1024 bins 0.19 ms, 2048 bins 0.39 ms, 4096 bins 0.48 ms, 8192 bins 0.76 ms.
 _FEW_WORDS = 1 << 11
 
+# Most residues that one _powers step multiplies at once: the lane starts
+# in one block, and the temporaries of a split's side within 200 KB.
+_POWERS_BLOCK = 1 << 13
+
 # The one start of an orbit on the bigint source alone, built once, so that
 # short orbits make no numpy call for it.
 _BIGINT_START = np.ones(1, dtype=np.uint64)
 _BIGINT_START.flags.writeable = False
 
 
-def _order(q: int) -> int:
+def _order(q: int, factors: Optional[dict[int, int]] = None) -> int:
     """Order of 2 mod odd q >= 3, from its multiple lambda(q) (Cohen, GTM 138, 1.4).
 
-    Each prime r of n = lambda(q) is divided out while 2**(n/r) = 1 (mod q).
+    factors is factor(q), computed here when not given.  Each prime r of
+    n = lambda(q) is divided out while 2**(n/r) = 1 (mod q).
     """
     n = 1
-    for p, e in factor(q).items():
+    for p, e in (factor(q) if factors is None else factors).items():
         n = math.lcm(n, p ** (e - 1) * (p - 1))
     for r in factor(n):
         while n % r == 0 and pow(2, n // r, q) == 1:
@@ -291,19 +300,32 @@ def _digit_sources(q: int, n: int) -> tuple[int, np.ndarray, Iterable[np.ndarray
     residue is where the bigint blocks take over; with k = 0 it is the only
     one, 1, and no lane digit comes.  The starts are stride**i for
     stride = 2**(L*k), built by a ladder of vector steps that double the
-    filled prefix, s[m:2m] = s[:m] * stride**m (mod q), each an exact
-    _mulmod: 14 steps for 2**13 lanes.
+    filled prefix (_powers): 14 steps for 2**13 lanes.
     """
     k = _lane_bits(q, n)
     if not k:
         return 0, _BIGINT_START, (), _wrap_blocks(q, n)
     steps = n // k // _LANES
-    starts = np.empty(_LANES + 1, dtype=np.uint64)
-    starts[0], c, m = 1, pow(2, steps * k, q), 1
-    while m <= _LANES:  # c = stride**m
-        starts[m:2 * m] = _mulmod(starts[:min(m, _LANES + 1 - m)], c, q)
-        c, m = c * c % q, 2 * m
+    starts = _powers(1, pow(2, steps * k, q), _LANES + 1, q)
     return k, starts, _lane_digits(q, k, steps, starts), _wrap_blocks(q, n, _LANES * steps * k, int(starts[-1]))
+
+
+def _powers(first: int, ratio: int, count: int, q: int) -> np.ndarray:
+    """first * ratio**i mod q for i < count, as uint64, for first, ratio < q < 2**48.
+
+    A ladder of vector steps doubles the filled prefix,
+    s[m:2m] = s[:m] * ratio**m (mod q), each an exact _mulmod, in blocks of
+    at most _POWERS_BLOCK residues so that its temporaries stay small.
+    """
+    s = np.empty(count, dtype=np.uint64)
+    s[0], c, m = first, ratio, 1
+    while m < count:  # c = ratio**m
+        end = min(2 * m, count)
+        for i in range(m, end, _POWERS_BLOCK):
+            stop = min(i + _POWERS_BLOCK, end)
+            s[i:stop] = _mulmod(s[i - m:stop - m], c, q)
+        c, m = c * c % q, 2 * m
+    return s
 
 
 def _mulmod(a: np.ndarray, c: int, q: int) -> np.ndarray:
@@ -479,16 +501,210 @@ def _flight_counts_stream(q: int, n: int) -> np.ndarray:
     return counts
 
 
+# ---------------------------------------------------------------------------
+# Composite q: the orbit mod q from the orbits mod a and mod b.
+#
+# Let q = a*b with gcd(a, b) = 1, n_a and n_b the orders of 2 mod a and mod b,
+# and g = gcd(n_a, n_b).  By the Chinese remainder theorem (Cohen, GTM 138,
+# 1.3-1.4), 2**i mod q = (X[i mod n_a] + Y[i mod n_b]) mod q, with
+# X[alpha] = b * (b**-1 * 2**alpha mod a) and Y[beta] = a * (a**-1 * 2**beta mod b),
+# and a pair (alpha, beta) occurs for exactly one i < n = lcm(n_a, n_b): the
+# one with alpha = beta (mod g).  A doubling wraps exactly when its residue
+# exceeds q >> 1, and lands on an odd residue h whose flight is at least t
+# exactly when h <= q >> (t - 1); the even residues of the orbit up to x are
+# twice those up to x / 2.  So with N_j = #{i < n : 2**i mod q <= q >> j} and
+# N_0 = n,
+#     steps = n - N_1,    counts[t] = N_{t-1} - 2 N_t + N_{t+1},
+# and each N_j counts pairs (X, Y): binary searches over n_a + n_b residues
+# stand for the n doublings of the stream.  _plan picks the split or the
+# stream for each call; the stream stays the path of prime q, prime powers
+# and splits whose sides are long, and the tests' oracle for the split.
+# ---------------------------------------------------------------------------
+
+# Shortest orbit that may be split: below it, the count streams in about a
+# millisecond and the histogram in a few.
+_SPLIT_MIN_DOUBLINGS = 1 << 24
+
+# Most residues of a split, both sides together, and the short-side residues
+# searched together level by level.  Peak memory under tracemalloc, in MB:
+# the stream's count 0.82, its histogram 4.37 at k = 32 (q = 4291434391)
+# and 3.12 at k = 16 (q = 8599306381); the split's count / histogram 0.71 /
+# 0.71 for sides of 2615 and 55584 residues, 1.11 / 1.20 for 5580 and
+# 104308, 2.35 / 2.48 for 36212 and 214176 (q = 4398046511101).  Blocks of
+# 2**11 to 2**18 residues timed within 10% of each other.
+_SPLIT_MAX_RESIDUES = 1 << 18
+_SPLIT_BLOCK = 1 << 13
+
+# The plan's cost model, in ns, on two shared vCPUs.  The stream, per
+# doubling, best of 3 calls on 16 random q with n = 1.8e7 .. 1.8e8 (bigint
+# from the _LANES table); the lowest of each range is taken:
+#             count        histogram
+#   k = 32    0.064-0.11   0.42-0.49
+#   k = 16    0.13-0.13    0.50-0.55
+#   bigint    0.8          2.7
+# The split: a call, a long-side residue, a short-side residue, and that
+# residue's search at each level it stays live.  Fitted by least relative
+# squares to the count and the histogram of 120 random splits of q in
+# 2**28 .. 2**46: 182e3, 18.6, 27 and 40 ns, with measured over fitted
+# times of 0.79-1.36 (counts) and 0.80-2.26 (histograms).  The constants
+# are the fit raised by half, so that a split picked near the break-even
+# point does not lose: over 240 in-band orbit q and 996 splits picked for
+# random q with n = 2**24 .. 2**29, the split took at most 0.33 and 0.71 of
+# the stream's time.
+_STREAM_NS = {0: (0.8, 2.7), 16: (0.13, 0.5), 32: (0.064, 0.42)}
+_SPLIT_NS = (270e3, 28.0, 40.0, 60.0)
+
+# Most doublings any stream runs: past it, _plan raises CapacityError.  Row
+# 9a of the slow tier streams 2.2e12 doublings (455 s), row 9b 1.1e12
+# (889 s); 2**42 = 4.4e12.  The split never streams.
+_MAX_STREAM_DOUBLINGS = 1 << 42
+
+
+class _Plan(NamedTuple):
+    n: int  # the period: the order of 2 mod q
+    path: str  # "lanes", "bigint" or "split"
+    split: tuple[int, ...] = ()  # (a, b, n_a, n_b), n_a <= n_b, on the split path
+
+
+def _plan(q: int, n: int, histogram: bool, factors: Optional[dict[int, int]] = None) -> _Plan:
+    """How the steps, or with histogram the flights, of the n-doubling orbit mod q are counted.
+
+    The split of _split_of when there is one, else the lane or bigint stream.
+    factors is factor(q); only orbits of at least _SPLIT_MIN_DOUBLINGS below
+    2**48 read it, and it is computed here when not given.  Raises
+    CapacityError for a stream of more than _MAX_STREAM_DOUBLINGS doublings.
+    """
+    if n >= _SPLIT_MIN_DOUBLINGS and q < 2**48:
+        split = _split_of(q, n, histogram, factor(q) if factors is None else factors)
+        if split:
+            return _Plan(n, "split", split)
+    if n > _MAX_STREAM_DOUBLINGS:
+        raise CapacityError(f"the period of 1/{q} is n = {n}, and streaming it exceeds "
+                            f"the cap of {_MAX_STREAM_DOUBLINGS} doublings")
+    return _Plan(n, "lanes" if _lane_bits(q, n) else "bigint")
+
+
+def _split_of(q: int, n: int, histogram: bool, factors: dict[int, int]) -> tuple[int, ...]:
+    """The coprime split (a, b, n_a, n_b) of q that costs least, or () if the stream costs less.
+
+    Every split of the prime powers of q into two sides is costed with
+    _SPLIT_NS, for one level (the count) or for the levels that a histogram's
+    searches stay live (log2(n_b / g) + 2 of them), against the stream's
+    _STREAM_NS per doubling.  A split is left out when its sides hold more
+    than _SPLIT_MAX_RESIDUES residues or when its int64 keys, up to
+    g * q + q, could overflow.
+    """
+    if len(factors) < 2 or n > _SPLIT_MAX_RESIDUES**2 // 4:  # n <= n_a * n_b <= ((n_a + n_b) / 2)**2
+        return ()
+    primes = factor(n)
+    parts = []
+    for p, e in factors.items():  # the order mod each prime power divides n: divide out n's primes
+        m, order = p**e, n
+        for r in primes:
+            while order % r == 0 and pow(2, order // r, m) == 1:
+                order //= r
+        parts.append((m, order))
+    best, best_ns = (), n * _STREAM_NS[_lane_bits(q, n)][histogram]
+    call_ns, long_ns, short_ns, search_ns = _SPLIT_NS
+    for mask in range(1, 1 << (len(parts) - 1)):  # the last part stays on side b
+        a = b = n_a = n_b = 1
+        for i, (m, order) in enumerate(parts):
+            if mask >> i & 1:
+                a, n_a = a * m, math.lcm(n_a, order)
+            else:
+                b, n_b = b * m, math.lcm(n_b, order)
+        if n_a > n_b:
+            a, b, n_a, n_b = b, a, n_b, n_a
+        g = math.gcd(n_a, n_b)
+        if n_a + n_b > _SPLIT_MAX_RESIDUES or (g + 1) * q >= 2**63:
+            continue
+        levels = min(math.log2(n_b / g) + 2, q.bit_length() - 1) if histogram else 1
+        ns = call_ns + long_ns * n_b + (short_ns + search_ns * levels) * n_a
+        if ns < best_ns:
+            best, best_ns = (a, b, n_a, n_b), ns
+    return best
+
+
+def _crt_side(m: int, other: int, count: int) -> np.ndarray:
+    """other * (other**-1 * 2**i mod m) for i < count, as int64: 2**i mod m and 0 mod other."""
+    side = _powers(pow(other, -1, m), 2, count, m)
+    side *= np.uint64(other)
+    return side.view(np.int64)
+
+
+def _split_levels(q: int, split: tuple[int, ...], top: int) -> np.ndarray:
+    """N_0 .. N_top, N_j = #{i < n : 2**i mod q <= q >> j}, from the split (a, b, n_a, n_b).
+
+    The long side's Y are sorted once, keyed by class * q + Y with class =
+    beta mod g.  For one X of class c and L = q >> j, the pairs with
+    (X + Y) mod q <= L are the Y of class c with Y <= (L - X) mod q, less
+    those with Y <= q - 1 - X, plus the whole class (n_b / g) when X <= L:
+    one binary search a level.  These windows shrink as j grows, so an X
+    whose window holds no Y is dropped from the later levels.  The short
+    side is sorted by class and then X descending, which puts each level's
+    search keys in two ascending runs a class and keeps the searches in
+    cache: 2-3 times faster than keys in random order.
+    """
+    a, b, n_a, n_b = split
+    g = math.gcd(n_a, n_b)
+    classes = np.arange(0, g * q, q, dtype=np.int64)  # class * q; g divides n_a and n_b
+    keys = _crt_side(b, a, n_b)
+    keys.reshape(-1, g)[:] += classes
+    keys.sort()
+    z = _crt_side(a, b, n_a)
+    np.negative(z, out=z)
+    z.reshape(-1, g)[:] += classes  # class * q - X
+    z.sort()
+    levels = np.zeros(top + 1, dtype=np.int64)
+    levels[0] = n_a * n_b // g
+    per_class = n_b // g
+    for first in range(0, n_a, _SPLIT_BLOCK):
+        zs = z[first:first + _SPLIT_BLOCK]
+        x = (zs // q + 1) * q - zs
+        lo = np.searchsorted(keys, zs + (q - 1), "right")
+        for j in range(1, top + 1):
+            inside = x <= q >> j
+            window = np.searchsorted(keys, zs + np.where(inside, q >> j, (q >> j) + q), "right")
+            window -= lo
+            window += per_class * inside
+            levels[j] += window.sum()
+            live = window > 0
+            if not live.all():
+                zs, x, lo = zs[live], x[live], lo[live]
+    return levels
+
+
+def _flight_counts_split(q: int, split: tuple[int, ...]) -> np.ndarray:
+    """_flight_counts_stream's histogram from the split: counts[t] = N_{t-1} - 2 N_t + N_{t+1}.
+
+    N_j = 0 from j = s = bit length of q on: every residue is at least 1.
+    """
+    s = q.bit_length()
+    levels = np.zeros(s + 2, dtype=np.int64)
+    levels[:s] = _split_levels(q, split, s - 1)
+    counts = np.zeros(65, dtype=np.int64)
+    counts[1:s + 1] = levels[:-2] - 2 * levels[1:-1] + levels[2:]
+    return counts
+
+
+def _period(q: int, plan: _Plan) -> PeriodResult:
+    """The period and steps of 1/q on the path of plan (histogram=False)."""
+    if plan.split:
+        return PeriodResult(q, plan.n, plan.n - int(_split_levels(q, plan.split, 1)[1]))
+    return PeriodResult(q, plan.n, _count_reductions(q, plan.n))
+
+
 def period_of(q: int) -> PeriodResult:
     """Period of 1/q under the doubling map, for any odd q >= 3.
 
-    The period is the order of 2 from factor(q), the steps the wrapped
-    doublings of the stream; both equal what the stepping algorithms above
-    return, which the tests hold them to.
+    The period is the order of 2 from factor(q); the steps come from the path
+    that _plan picks, the split or the stream.  Both equal what the stepping
+    algorithms above return, which the tests hold them to.  Raises
+    CapacityError for a stream over _MAX_STREAM_DOUBLINGS doublings.
     """
     _check_modulus(q)
-    n = _order(q)
-    return PeriodResult(q, n, _count_reductions(q, n))
+    factors = factor(q)
+    return _period(q, _plan(q, _order(q, factors), False, factors))
 
 
 def period_capped(q: int, cap: int) -> Optional[PeriodResult]:
@@ -496,16 +712,19 @@ def period_capped(q: int, cap: int) -> Optional[PeriodResult]:
     _check_modulus(q)
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    n = _order(q)
+    factors = factor(q)
+    n = _order(q, factors)
     if n > cap:
         return None
-    return PeriodResult(q, n, _count_reductions(q, n))
+    return _period(q, _plan(q, n, False, factors))
 
 
 def flying_time_histogram(q: int) -> FlyingTimeHistogram:
     """Frequency of every flying time along the full cycle of 1 in Z_q."""
     _check_modulus(q, minimum=5)
-    arr = _flight_counts_stream(q, _order(q))
+    factors = factor(q)
+    plan = _plan(q, _order(q, factors), True, factors)
+    arr = _flight_counts_split(q, plan.split) if plan.split else _flight_counts_stream(q, plan.n)
     return FlyingTimeHistogram(q, {t: int(arr[t]) for t in range(1, 65) if arr[t]})
 
 

@@ -25,6 +25,7 @@ from mersenne_doubling import (
     run_census,
 )
 from mersenne_doubling.cli import main as cli_main
+from mersenne_doubling.dynamics import _count_reductions, _flight_counts_stream, _plan
 
 
 def run_cli(capsys, *args):
@@ -152,9 +153,23 @@ def test_criterion_05_divisor_witnesses(capsys):
 
 
 def _accounting_check(q):
+    """Criterion 6 for q, and the stream on every q: where the plan splits, the split against the stream.
+
+    Returns q and whether the check held, then how many of the two calls the plan split.
+    """
     hist = flying_time_histogram(q)
     result = period_of(q)
-    return q, hist.period == result.period and hist.steps == result.steps
+    ok = hist.period == result.period and hist.steps == result.steps
+    n = result.period
+    split = 0
+    if _plan(q, n, histogram=True).split:
+        flights = _flight_counts_stream(q, n)
+        ok &= hist.counts == {t: int(c) for t, c in enumerate(flights) if c}
+        split += 1
+    if _plan(q, n, histogram=False).split:
+        ok &= result.steps == _count_reductions(q, n)
+        split += 1
+    return q, ok, split
 
 
 def test_criterion_06_flying_time_accounting(capsys):
@@ -168,14 +183,15 @@ def test_criterion_06_flying_time_accounting(capsys):
             results = list(pool.map(_accounting_check, qs, chunksize=20))
     except ValueError:  # no fork on this platform
         results = [_accounting_check(q) for q in qs]
-    for q, ok in results:
+    for q, ok, _ in results:
         assert ok, f"accounting identity failed at q={q}"
     assert is_complete_wrt_flying_times(13) is True
     assert is_complete_wrt_flying_times(11) is False
+    split = sum(s for _, _, s in results)
     elapsed = time.perf_counter() - start
     with capsys.disabled():
         print(f"CRITERION 6 PASS: sum(t*phi)=period and sum(phi)=steps for 1000 "
-              f"random q < 2^32 ({elapsed:.0f}s)")
+              f"random q < 2^32, {split} of 2000 calls split and held to the stream ({elapsed:.0f}s)")
 
 
 def test_criterion_07_step_equivalence(capsys):

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from mersenne_doubling import cli
 from mersenne_doubling.cli import main
 from mersenne_doubling.detector import STREAM_FILES
+from mersenne_doubling.dynamics import _count_reductions, _flight_counts_stream
 
 
 def run_cli(capsys, *args):
@@ -61,14 +63,35 @@ def test_histogram_output(capsys):
 
 
 def test_period_and_histogram_report_stream_path(capsys):
-    # 4194371 is prime with order 4194370, above the lane cutoff.
-    for q, period, path in ((13, 12, "bigint"), (4194371, 4194370, "lanes")):
+    # 4194371 and 4291434391 are prime, with orders above the lane cutoff;
+    # 2877926213 is composite, split into orbits of 2039 and 70348.
+    for q, period, path in ((13, 12, "bigint"), (4194371, 4194370, "lanes"),
+                            (4291434391, 143047813, "lanes"), (2877926213, 143439572, "split")):
         for command in ("period", "histogram"):
             code, _, err = run_cli(capsys, command, q)
             assert code == 0
             assert re.fullmatch(
                 rf"q={q} period={period} path={path} doublings={period} "
                 r"ns_per_doubling=\d+\.\d{3} seconds=\d+\.\d{6}\n", err), (command, err)
+
+
+def test_split_prints_what_the_stream_prints(capsys):
+    q, n = 2877926213, 143439572
+    _, out, _ = run_cli(capsys, "period", q)
+    assert re.fullmatch(rf"q={q} period={n} steps={_count_reductions(q, n)} seconds=\d+\.\d{{6}}\n", out)
+    _, out, _ = run_cli(capsys, "histogram", q)
+    assert out == "".join(f"{t}\t{c}\n" for t, c in enumerate(_flight_counts_stream(q, n)) if c)
+
+
+def test_stream_over_the_cap_fails_up_front(capsys):
+    # 2**64 - 59 is prime, of order 2**64 - 60: no stream is started.
+    for command in ("period", "histogram"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, command, 2**64 - 59)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, "")
+        assert err == (f"error: the period of 1/{2**64 - 59} is n = {2**64 - 60}, and streaming it "
+                       f"exceeds the cap of {2**42} doublings\n")
 
 
 def test_is_prime_output(capsys):
@@ -176,6 +199,23 @@ def test_scan_out_dir_in_the_way_fails_before_the_scan(capsys, monkeypatch, tmp_
         assert code == 2
         assert out == ""
         assert err.startswith("error: --out-dir: ") and err.count("\n") == 1
+
+
+def test_scan_stream_file_in_the_way_fails_before_the_scan(capsys, monkeypatch, tmp_path):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scan_range ran before the stream files were checked")
+
+    monkeypatch.setattr(cli, "scan_range", no_scan)
+    (tmp_path / STREAM_FILES["even"]).mkdir()
+    others = [tmp_path / name for tag, name in STREAM_FILES.items() if tag != "even"]
+    for path in others:
+        path.write_text("old rows\n")
+        os.utime(path, (0, 0))
+    code, out, err = run_cli(capsys, "scan", 5, 99, "--out-dir", tmp_path)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --out-dir: ") and "even_periods.tsv" in err and err.count("\n") == 1
+    for path in others:
+        assert path.read_text() == "old rows\n" and path.stat().st_mtime == 0, path
 
 
 def test_scan_rewrites_out_dir_without_stale_bytes(capsys, tmp_path):

@@ -21,11 +21,15 @@ from mersenne_doubling import (
 )
 from mersenne_doubling.dynamics import (
     _count_reductions,
+    _flight_counts_split,
     _flight_counts_stream,
     _lane_bits,
     _order,
+    _plan,
+    _split_levels,
     _wrap_blocks,
 )
+from mersenne_doubling.errors import CapacityError
 from mersenne_doubling.primality import factor, is_prime64
 
 
@@ -613,3 +617,136 @@ def test_order_certificate_64bit(q):
     assert all(is_prime64(p) for p in primes)
     for p in primes:
         assert pow(2, n // p, q) != 1
+
+
+# --- composite q: the split and the plan -------------------------------------
+
+def _coprime_splits(q):
+    """Every (a, b, order of 2 mod a, order mod b) with a * b = q, gcd(a, b) = 1, a, b > 1."""
+    primes = factor(q)
+    powers = [p**e for p, e in primes.items()]
+    for mask in range(1, (1 << len(powers)) - 1):
+        a = math.prod(m for i, m in enumerate(powers) if mask >> i & 1)
+        yield a, q // a, _order(a), _order(q // a)
+
+
+def _assert_split_matches_stream(q, splits):
+    n = _order(q)
+    steps, flights = _count_reductions(q, n), _flight_counts_stream(q, n)
+    for split in splits:
+        assert n - _split_levels(q, split, 1)[1] == steps, (q, split)
+        assert np.array_equal(_flight_counts_split(q, split), flights), (q, split)
+
+
+def test_split_matches_stream_on_every_coprime_split(monkeypatch):
+    # Both orders of every split, the short side first and last; then again
+    # with the short side searched in blocks of 7, so that blocks join.
+    qs = [q for q in range(9, 3001, 2) if len(factor(q)) > 1]
+    assert len(qs) == 1044 and sum(len(list(_coprime_splits(q))) for q in qs) == 3208
+    for block in (dynamics._SPLIT_BLOCK, 7):
+        monkeypatch.setattr(dynamics, "_SPLIT_BLOCK", block)
+        for q in qs:
+            _assert_split_matches_stream(q, _coprime_splits(q))
+
+
+def _small_order_parts():
+    """Odd prime powers whose order of 2 is small: the primes of 2**k - 1 for k <= 60, and five higher powers."""
+    primes = {p for k in range(2, 61) for p in factor((1 << k) - 1)}
+    return sorted(primes) + [3**5, 7**2, 5**3, 11**2, 13**2]
+
+
+def test_split_matches_stream_on_random_composites(monkeypatch):
+    # Seeded composites of 30-47 bits from prime powers of small order and
+    # random primes below 2**18, so that the stream oracle stays short
+    # (n <= 2**22).  The first ones hold 3**5 and 7**2.  Short sides longer
+    # than 512 residues are searched in blocks.
+    rng = random.Random(0x5B17)
+    pool = _small_order_parts()
+    qs = []
+    while len(qs) < 40:
+        parts = [3**5, 7**2][:2 - len(qs) // 5] if len(qs) < 10 else []
+        parts += rng.sample(pool, rng.randint(1, 3))
+        if rng.random() < 0.5:
+            parts.append(_next_prime(rng.randrange(1 << 8, 1 << 18)))
+        q = math.prod(parts)
+        coprime = all(math.gcd(a, b) == 1 for i, a in enumerate(parts) for b in parts[:i])
+        if coprime and 30 <= q.bit_length() <= 47 and _order(q) <= 1 << 22:
+            qs.append(q)
+    splits = {q: [s for s in _coprime_splits(q) if s[2] <= s[3]] for q in qs}  # the short side first
+    assert any(math.gcd(n_a, n_b) > 1 for s in splits.values() for _, _, n_a, n_b in s)
+    assert sum(n_a > 512 for s in splits.values() for _, _, n_a, _ in s) >= 5
+    assert sum(q % 3**5 == 0 for q in qs) >= 5 and sum(q % 7**2 == 0 for q in qs) >= 5
+    monkeypatch.setattr(dynamics, "_SPLIT_BLOCK", 512)
+    for q in qs:
+        _assert_split_matches_stream(q, splits[q])
+
+
+def test_public_paths_take_the_split_and_match_the_stream(monkeypatch):
+    # With every orbit long enough to split and the stream priced far above
+    # the split, the plan's split through the public functions, against the
+    # stream.
+    monkeypatch.setattr(dynamics, "_SPLIT_MIN_DOUBLINGS", 0)
+    monkeypatch.setattr(dynamics, "_STREAM_NS", dict.fromkeys((0, 16, 32), (1e9, 1e9)))
+    split = 0
+    for q in [*range(1001, 1400, 2), 3**5 * 7**2 * 31, 1433959207]:
+        n = _order(q)
+        for histogram in (False, True):
+            split += _plan(q, n, histogram).path == "split"
+        assert period_of(q) == (q, n, _count_reductions(q, n)), q
+        flights = _flight_counts_stream(q, n)
+        assert flying_time_histogram(q).counts == {t: int(c) for t, c in enumerate(flights) if c}, q
+    assert split >= 100
+
+
+def test_split_matches_stream_on_long_orbits():
+    # Composite q whose orbits of about 1.4e8 doublings the plan splits.
+    for q in (2877926213, 1158788783, 16172454177, 11971098199, 1433959207):
+        n = _order(q)
+        assert _plan(q, n, False).path == _plan(q, n, True).path == "split", q
+        assert period_of(q) == (q, n, _count_reductions(q, n)), q
+        flights = _flight_counts_stream(q, n)
+        assert flying_time_histogram(q).counts == {t: int(c) for t, c in enumerate(flights) if c}, q
+
+
+def test_plan_paths():
+    # Stream: a prime, a prime power, a split whose long side is nearly the
+    # whole orbit (3 * a prime), orbits under _SPLIT_MIN_DOUBLINGS, and q of
+    # 2**48 or more (the _mulmod bound; n passed in, the plan reads no more).
+    p = 65519  # order 32759: p * p has order 65519 * 32759
+    stream = {4291434391: "lanes", p * p: "lanes", 3 * 4291434391: "lanes",
+              4194371 * 3: "lanes", 4398046511103: "bigint", 13: "bigint"}
+    for q, path in stream.items():
+        n = _order(q)
+        for histogram in (False, True):
+            assert _plan(q, n, histogram) == (n, path, ()), q
+    assert _order(p * p) >= dynamics._SPLIT_MIN_DOUBLINGS
+    assert _plan(2**48 + 21, 1 << 30, True) == (1 << 30, "bigint", ())
+    # Split: orders 2039 and 70348, short side first.
+    for q in (2877926213, 4398046511101):
+        n = _order(q)
+        for histogram in (False, True):
+            plan = _plan(q, n, histogram, factor(q))
+            a, b, n_a, n_b = plan.split
+            assert plan.path == "split" and a * b == q and math.gcd(a, b) == 1
+            assert (_order(a), _order(b)) == (n_a, n_b) and n_a <= n_b
+            assert math.lcm(n_a, n_b) == n and n_a + n_b <= dynamics._SPLIT_MAX_RESIDUES
+    assert _plan(2877926213, _order(2877926213), True).split[2:] == (2039, 70348)
+
+
+def test_stream_cap_from_both_sides(monkeypatch):
+    # The default cap admits the slow tier's rows 9a and 9b.
+    assert 2199023254451 <= dynamics._MAX_STREAM_DOUBLINGS and 1099511611060 <= dynamics._MAX_STREAM_DOUBLINGS
+    q, n = 4194371, 4194370  # prime
+    monkeypatch.setattr(dynamics, "_MAX_STREAM_DOUBLINGS", n)
+    assert period_of(q).period == n and period_capped(q, n).period == n
+    assert flying_time_histogram(q).period == n
+    monkeypatch.setattr(dynamics, "_MAX_STREAM_DOUBLINGS", n - 1)
+    for call in (period_of, flying_time_histogram, is_complete_wrt_flying_times, lambda q: period_capped(q, n)):
+        with pytest.raises(CapacityError, match=rf"n = {n}\b.*cap of {n - 1} doublings"):
+            call(q)
+    assert period_capped(q, n - 1) is None  # over the caller's cap: None, before any plan
+    # The split streams nothing, and the reference loops are not gated.
+    monkeypatch.setattr(dynamics, "_MAX_STREAM_DOUBLINGS", 1)
+    assert period_of(2877926213) == (2877926213, 143439572, 71719849)
+    assert flying_time_histogram(2877926213).period == 143439572
+    assert period_naive(131213).period == period_hybrid(131213).period == 131212
