@@ -75,6 +75,12 @@ _ESTIMATE = {
 # so it pays from about twice that in-process, some 9M candidates.
 _POOL_MIN_LANES = 1 << 23
 
+# Most lane-steps, candidate_count(n0) * n0, that run_census runs: past it,
+# it raises CapacityError before any lane runs.  n0 = 67 runs 2.0e11 (the
+# M(67) slow test, 14.5 s on two workers), n0 = 73 1.8e12; 2**42 = 4.4e12
+# refuses n0 = 79 (1.5e13, about 17 min on two workers at the M(67) rate).
+_MAX_LANE_STEPS = 1 << 42
+
 
 def sqrt_of_mersenne(n0: int) -> int:
     """Exact floor(sqrt(2**n0 - 1)) for prime n0 up to 127."""
@@ -260,14 +266,19 @@ def run_census(n0: int, workers: int = 1) -> MersenneCensus:
     With more than one worker (at most one per core) and at least
     _POOL_MIN_LANES candidates, each candidate stream is cut into one
     contiguous slice per worker, and the pool takes them in stream order.
-    A bound of 2**63 or more (n0 = 127) fails up front with CapacityError.
+    A census of more than _MAX_LANE_STEPS lane-steps fails up front with
+    CapacityError.  So does every bound of 2**63 or more (n0 = 127), which
+    no lane width steps: its 2**61 candidates are far over the cap.
     """
     bound = sqrt_of_mersenne(n0)
-    _lane_dtype(bound)  # refuses a bound of 2**63 or more before any lane runs
     streams = _streams(bound)
+    candidates = sum(count for _, count in streams)
+    if candidates * n0 > _MAX_LANE_STEPS:
+        raise CapacityError(f"the census for n0={n0} runs {candidates * n0} lane-steps, over "
+                            f"the cap of {_MAX_LANE_STEPS}")
     workers = min(workers, os.cpu_count() or 1)
     v = np.zeros(n0 + 1, dtype=np.int64)
-    if workers > 1 and sum(count for _, count in streams) >= _POOL_MIN_LANES:
+    if workers > 1 and candidates >= _POOL_MIN_LANES:
         tasks = [(first, size, n0) for stream in streams for first, size in _slices(*stream, workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_census_block, *zip(*tasks)):

@@ -28,7 +28,16 @@ from .detector import (
     scan_range,
     write_report,
 )
-from .dynamics import _check_kappa, _plan, _Plan, flying_time_histogram, period_hybrid, period_of
+from .dynamics import (
+    U64_MAX,
+    _check_kappa,
+    _order,
+    _Plan,
+    _plan_of,
+    flying_time_histogram,
+    period_hybrid,
+    period_of,
+)
 from .errors import CapacityError
 from .primality import DEFAULT_PRIME_BOUND, build_prime_table, is_prime
 
@@ -104,8 +113,7 @@ def _parse_kappa_range(text: str) -> list[int]:
 def _report_stream(q: int, plan: _Plan, elapsed: float) -> None:
     """One stderr summary line for a command that counted the steps or flights of the period.
 
-    plan is the library's own plan for the command, rebuilt from q and the
-    period: it factors q again only for an orbit long enough to be split.
+    plan is the plan that the command counted with.
     """
     print(
         f"q={q} period={plan.n} path={plan.path} doublings={plan.n} "
@@ -116,13 +124,14 @@ def _report_stream(q: int, plan: _Plan, elapsed: float) -> None:
 
 def cmd_period(args: argparse.Namespace) -> int:
     start = perf_counter()
-    result = period_of(args.q)
+    plan = _plan_of(args.q, histogram=False)
+    result = period_of(args.q, plan=plan)
     elapsed = perf_counter() - start
     if args.tsv:
         print(f"{args.q}\t{result.period}\t{result.steps}\t{elapsed:.6f}")
     else:
         print(f"q={args.q} period={result.period} steps={result.steps} seconds={elapsed:.6f}")
-    _report_stream(args.q, _plan(args.q, result.period, histogram=False), elapsed)
+    _report_stream(args.q, plan, elapsed)
     return 0
 
 
@@ -152,11 +161,12 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def cmd_histogram(args: argparse.Namespace) -> int:
     start = perf_counter()
-    hist = flying_time_histogram(args.q)
+    plan = _plan_of(args.q, histogram=True)
+    hist = flying_time_histogram(args.q, plan=plan)
     elapsed = perf_counter() - start
     for t, count in hist.counts.items():
         print(f"{t}\t{count}")
-    _report_stream(args.q, _plan(args.q, hist.period, histogram=True), elapsed)
+    _report_stream(args.q, plan, elapsed)
     return 0
 
 
@@ -206,11 +216,22 @@ def cmd_mersenne_test(args: argparse.Namespace) -> int:
     return 0
 
 
+# Most doublings in the period of a q that bench-kappa steps through
+# period_hybrid.  The loop takes 110-290 ns a doubling on two shared vCPUs,
+# so a row at the cap takes some 8-20 min; the slow tier's reference row
+# 4291783591 (143059453 doublings) takes under a minute a row.
+_MAX_KAPPA_DOUBLINGS = 1 << 32
+
+
 def cmd_bench_kappa(args: argparse.Namespace) -> int:
     qs = _parse_int_list(args.qs)
     kappas = _parse_kappa_range(args.kappas)
     for kappa in kappas:
         _check_kappa(kappa)
+    for q in qs:  # every q that a row will step, before the first row runs
+        if q % 2 and max(5, 1 << min(kappas)) <= q <= U64_MAX and (n := _order(q)) > _MAX_KAPPA_DOUBLINGS:
+            raise CapacityError(f"the period of 1/{q} is n = {n}, and stepping it exceeds "
+                                f"the cap of {_MAX_KAPPA_DOUBLINGS} doublings")
     for kappa in kappas:
         for q in qs:
             if q < max(5, 1 << kappa):

@@ -306,18 +306,18 @@ def _digit_sources(q: int, n: int) -> tuple[int, np.ndarray, Iterable[np.ndarray
     if not k:
         return 0, _BIGINT_START, (), _wrap_blocks(q, n)
     steps = n // k // _LANES
-    starts = _powers(1, pow(2, steps * k, q), _LANES + 1, q)
+    starts = _powers(1, pow(2, steps * k, q), q, np.empty(_LANES + 1, dtype=np.uint64))
     return k, starts, _lane_digits(q, k, steps, starts), _wrap_blocks(q, n, _LANES * steps * k, int(starts[-1]))
 
 
-def _powers(first: int, ratio: int, count: int, q: int) -> np.ndarray:
-    """first * ratio**i mod q for i < count, as uint64, for first, ratio < q < 2**48.
+def _powers(first: int, ratio: int, q: int, s: np.ndarray) -> np.ndarray:
+    """s, filled with first * ratio**i mod q for i < len(s), for first, ratio < q < 2**48.
 
-    A ladder of vector steps doubles the filled prefix,
+    s is uint64.  A ladder of vector steps doubles the filled prefix,
     s[m:2m] = s[:m] * ratio**m (mod q), each an exact _mulmod, in blocks of
     at most _POWERS_BLOCK residues so that its temporaries stay small.
     """
-    s = np.empty(count, dtype=np.uint64)
+    count = len(s)
     s[0], c, m = first, ratio, 1
     while m < count:  # c = ratio**m
         end = min(2 * m, count)
@@ -331,14 +331,17 @@ def _powers(first: int, ratio: int, count: int, q: int) -> np.ndarray:
 def _mulmod(a: np.ndarray, c: int, q: int) -> np.ndarray:
     """a * c mod q for uint64 residues a < q and c < q < 2**48.
 
-    The float64 quotient a * c / q is off by less than 1 (its relative error
-    is a few 2**-53 and the quotient is below 2**48), so the remainder
-    a * c - quotient * q, taken modulo 2**64, lies in -q .. 2q - 1 and is
-    exact as an int64; % q brings it into 0 .. q - 1.
+    The float64 quotient is taken of a * c / q scaled by 1 - 2**-50: three
+    roundings of 2**-53 each leave it below a * c / q < 2**48, and short of
+    it by less than 2**48 * 11 * 2**-53 < 1.  So it truncates to
+    floor(a * c / q) or one less, and the remainder a * c - quotient * q,
+    taken modulo 2**64, is exact and lies in 0 .. 2q - 1.  Then
+    min(rem, rem - q) is rem mod q: rem - q wraps above rem when rem < q.
+    About 5 ns an element, against 9 ns for a floored estimate and % q.
     """
-    quotient = np.floor(a * (c / q)).astype(np.uint64)
-    rem = (a * np.uint64(c) - quotient * np.uint64(q)).view(np.int64)
-    return (rem % q).view(np.uint64)
+    quotient = (a * (c / q * (1 - 2**-50))).astype(np.uint64)
+    rem = a * np.uint64(c) - quotient * np.uint64(q)
+    return np.minimum(rem, rem - np.uint64(q))
 
 
 def _lane_digits(q: int, k: int, steps: int, starts: np.ndarray) -> Iterator[np.ndarray]:
@@ -515,24 +518,34 @@ def _flight_counts_stream(q: int, n: int) -> np.ndarray:
 # twice those up to x / 2.  So with N_j = #{i < n : 2**i mod q <= q >> j} and
 # N_0 = n,
 #     steps = n - N_1,    counts[t] = N_{t-1} - 2 N_t + N_{t+1},
-# and each N_j counts pairs (X, Y): binary searches over n_a + n_b residues
-# stand for the n doublings of the stream.  _plan picks the split or the
-# stream for each call; the stream stays the path of prime q, prime powers
-# and splits whose sides are long, and the tests' oracle for the split.
+# and each N_j counts pairs (X, Y): binary searches of the n_a short-side
+# residues into the n_b long-side residues, sorted in blocks, stand for the
+# n doublings of the stream.  _plan picks the split or the stream for each
+# call; the stream stays the path of prime q, prime powers and splits whose
+# long side is most of the orbit, and the tests' oracle for the split.
 # ---------------------------------------------------------------------------
 
 # Shortest orbit that may be split: below it, the count streams in about a
 # millisecond and the histogram in a few.
 _SPLIT_MIN_DOUBLINGS = 1 << 24
 
-# Most residues of a split, both sides together, and the short-side residues
-# searched together level by level.  Peak memory under tracemalloc, in MB:
-# the stream's count 0.82, its histogram 4.37 at k = 32 (q = 4291434391)
-# and 3.12 at k = 16 (q = 8599306381); the split's count / histogram 0.71 /
-# 0.71 for sides of 2615 and 55584 residues, 1.11 / 1.20 for 5580 and
-# 104308, 2.35 / 2.48 for 36212 and 214176 (q = 4398046511101).  Blocks of
+# Most residues of a split's short side, and of its long side; the long
+# side's residues sorted together, and the short side's searched together
+# level by level.  With both sides at their caps the cost model below
+# prices a split at 2**28 * (25 + 55 + 80 * 20) ns, about 450 s: the time
+# of the slow tier's row 9a, the longest stream it runs.  Peak memory under
+# tracemalloc, in MB: the stream's count 0.82, its histogram 4.37 at k = 32
+# (q = 4291434391) and 3.12 at k = 16 (q = 8599306381); the split's 2.45
+# for the count of q = 4398046511101 (sides of 36212 and 214176 residues),
+# and, refilling one long-side block, 2.26 for the histograms of
+# 1928914067 (198 and 735665) and 4224669655 (92 and 1525151).
+# A histogram took, in ms, for long-side blocks of 2**15 / 2**16 / 2**17 /
+# 2**18 / 2**19 residues: 22.6 / 17.4 / 14.3 / 13.7 / 12.1 for 1928914067,
+# 47.0 / 30.5 / 26.7 / 26.8 / 26.0 for 4224669655.  Short-side blocks of
 # 2**11 to 2**18 residues timed within 10% of each other.
-_SPLIT_MAX_RESIDUES = 1 << 18
+_SPLIT_MAX_SHORT = 1 << 18
+_SPLIT_MAX_LONG = 1 << 28
+_SPLIT_LONG_BLOCK = 1 << 18
 _SPLIT_BLOCK = 1 << 13
 
 # The plan's cost model, in ns, on two shared vCPUs.  The stream, per
@@ -542,21 +555,24 @@ _SPLIT_BLOCK = 1 << 13
 #   k = 32    0.064-0.11   0.42-0.49
 #   k = 16    0.13-0.13    0.50-0.55
 #   bigint    0.8          2.7
-# The split: a call, a long-side residue, a short-side residue, and that
-# residue's search at each level it stays live.  Fitted by least relative
-# squares to the count and the histogram of 120 random splits of q in
-# 2**28 .. 2**46: 182e3, 18.6, 27 and 40 ns, with measured over fitted
-# times of 0.79-1.36 (counts) and 0.80-2.26 (histograms).  The constants
-# are the fit raised by half, so that a split picked near the break-even
-# point does not lose: over 240 in-band orbit q and 996 splits picked for
-# random q with n = 2**24 .. 2**29, the split took at most 0.33 and 0.71 of
-# the stream's time.
+# The split: a call, a long-side residue, and per long-side block a
+# short-side residue and that residue's search at each level it stays
+# live.  Fitted by least relative squares to the count and the histogram
+# of two samples of 120 and 100 random splits (a prime of 2**3 .. 2**18
+# times one of 2**12 or 2**14 .. 2**23.5, up to 30 blocks): 175e3-178e3,
+# 16.7-16.8, 37-38 and 54 ns, with measured over fitted times of 0.62-4.19
+# (counts) and 0.69-3.30 (histograms), all above 2 on splits under 3 ms.
+# The constants are the fit raised by half, so that a split picked near the
+# break-even point does not lose: over 240 in-band orbit q (99 counts and
+# 147 histograms split) and 201 splits picked for random q with
+# n = 2**24 .. 2**28, the split took at most 0.63 of the stream's time.
 _STREAM_NS = {0: (0.8, 2.7), 16: (0.13, 0.5), 32: (0.064, 0.42)}
-_SPLIT_NS = (270e3, 28.0, 40.0, 60.0)
+_SPLIT_NS = (265e3, 25.0, 55.0, 80.0)
 
 # Most doublings any stream runs: past it, _plan raises CapacityError.  Row
 # 9a of the slow tier streams 2.2e12 doublings (455 s), row 9b 1.1e12
-# (889 s); 2**42 = 4.4e12.  The split never streams.
+# (889 s); 2**42 = 4.4e12.  The split streams nothing; its own caps
+# are _SPLIT_MAX_SHORT and _SPLIT_MAX_LONG.
 _MAX_STREAM_DOUBLINGS = 1 << 42
 
 
@@ -589,12 +605,13 @@ def _split_of(q: int, n: int, histogram: bool, factors: dict[int, int]) -> tuple
 
     Every split of the prime powers of q into two sides is costed with
     _SPLIT_NS, for one level (the count) or for the levels that a histogram's
-    searches stay live (log2(n_b / g) + 2 of them), against the stream's
-    _STREAM_NS per doubling.  A split is left out when its sides hold more
-    than _SPLIT_MAX_RESIDUES residues or when its int64 keys, up to
-    g * q + q, could overflow.
+    searches stay live in a long-side block (log2(block / g) + 2 of them),
+    against the stream's _STREAM_NS per doubling.  A split is left out when
+    its short side holds more than _SPLIT_MAX_SHORT residues, its long side
+    more than _SPLIT_MAX_LONG, or when its int64 keys, up to g * q + q,
+    could overflow.
     """
-    if len(factors) < 2 or n > _SPLIT_MAX_RESIDUES**2 // 4:  # n <= n_a * n_b <= ((n_a + n_b) / 2)**2
+    if len(factors) < 2:
         return ()
     primes = factor(n)
     parts = []
@@ -616,18 +633,22 @@ def _split_of(q: int, n: int, histogram: bool, factors: dict[int, int]) -> tuple
         if n_a > n_b:
             a, b, n_a, n_b = b, a, n_b, n_a
         g = math.gcd(n_a, n_b)
-        if n_a + n_b > _SPLIT_MAX_RESIDUES or (g + 1) * q >= 2**63:
+        if n_a > _SPLIT_MAX_SHORT or n_b > _SPLIT_MAX_LONG or (g + 1) * q >= 2**63:
             continue
-        levels = min(math.log2(n_b / g) + 2, q.bit_length() - 1) if histogram else 1
-        ns = call_ns + long_ns * n_b + (short_ns + search_ns * levels) * n_a
+        size = max(1, _SPLIT_LONG_BLOCK // g) * g
+        levels = min(math.log2(min(n_b, size) / g) + 2, q.bit_length() - 1) if histogram else 1
+        ns = call_ns + long_ns * n_b + -(-n_b // size) * (short_ns + search_ns * levels) * n_a
         if ns < best_ns:
             best, best_ns = (a, b, n_a, n_b), ns
     return best
 
 
-def _crt_side(m: int, other: int, count: int) -> np.ndarray:
-    """other * (other**-1 * 2**i mod m) for i < count, as int64: 2**i mod m and 0 mod other."""
-    side = _powers(pow(other, -1, m), 2, count, m)
+def _crt_side(m: int, other: int, start: int, side: np.ndarray) -> np.ndarray:
+    """side, filled with other * (other**-1 * 2**i mod m) for start <= i < start + len(side).
+
+    These are 2**i mod m and 0 mod other.  side is uint64; returned as int64.
+    """
+    _powers(pow(other, -1, m) * pow(2, start, m) % m, 2, m, side)
     side *= np.uint64(other)
     return side.view(np.int64)
 
@@ -635,42 +656,49 @@ def _crt_side(m: int, other: int, count: int) -> np.ndarray:
 def _split_levels(q: int, split: tuple[int, ...], top: int) -> np.ndarray:
     """N_0 .. N_top, N_j = #{i < n : 2**i mod q <= q >> j}, from the split (a, b, n_a, n_b).
 
-    The long side's Y are sorted once, keyed by class * q + Y with class =
-    beta mod g.  For one X of class c and L = q >> j, the pairs with
-    (X + Y) mod q <= L are the Y of class c with Y <= (L - X) mod q, less
-    those with Y <= q - 1 - X, plus the whole class (n_b / g) when X <= L:
-    one binary search a level.  These windows shrink as j grows, so an X
-    whose window holds no Y is dropped from the later levels.  The short
-    side is sorted by class and then X descending, which puts each level's
-    search keys in two ascending runs a class and keeps the searches in
-    cache: 2-3 times faster than keys in random order.
+    The long side's Y are taken in blocks of at most _SPLIT_LONG_BLOCK
+    residues, a multiple of g, each sorted, keyed by class * q + Y with
+    class = beta mod g: a block starts at a multiple of g, so the class is
+    the column.  For one X of class c and L = q >> j, the pairs of a block
+    with (X + Y) mod q <= L are its Y of class c with Y <= (L - X) mod q,
+    less those with Y <= q - 1 - X, plus the block's whole class when
+    X <= L: one binary search a level.  These windows shrink as j grows, so
+    an X whose window in a block holds no Y is dropped from that block's
+    later levels.  The short side is sorted by class and then X descending,
+    which puts each level's search keys in two ascending runs a class and
+    keeps the searches in cache: 2-3 times faster than keys in random order.
     """
     a, b, n_a, n_b = split
     g = math.gcd(n_a, n_b)
     classes = np.arange(0, g * q, q, dtype=np.int64)  # class * q; g divides n_a and n_b
-    keys = _crt_side(b, a, n_b)
-    keys.reshape(-1, g)[:] += classes
-    keys.sort()
-    z = _crt_side(a, b, n_a)
+    z = _crt_side(a, b, 0, np.empty(n_a, dtype=np.uint64))
     np.negative(z, out=z)
     z.reshape(-1, g)[:] += classes  # class * q - X
     z.sort()
+    x = (z // q + 1) * q - z
     levels = np.zeros(top + 1, dtype=np.int64)
     levels[0] = n_a * n_b // g
-    per_class = n_b // g
-    for first in range(0, n_a, _SPLIT_BLOCK):
-        zs = z[first:first + _SPLIT_BLOCK]
-        x = (zs // q + 1) * q - zs
-        lo = np.searchsorted(keys, zs + (q - 1), "right")
-        for j in range(1, top + 1):
-            inside = x <= q >> j
-            window = np.searchsorted(keys, zs + np.where(inside, q >> j, (q >> j) + q), "right")
-            window -= lo
-            window += per_class * inside
-            levels[j] += window.sum()
-            live = window > 0
-            if not live.all():
-                zs, x, lo = zs[live], x[live], lo[live]
+    size = max(1, _SPLIT_LONG_BLOCK // g) * g
+    block = np.empty(min(size, n_b), dtype=np.uint64)  # refilled for each block
+    for start in range(0, n_b, size):
+        keys = _crt_side(b, a, start, block[:n_b - start])
+        keys.reshape(-1, g)[:] += classes
+        keys.sort()
+        per_class = len(keys) // g
+        for first in range(0, n_a, _SPLIT_BLOCK):
+            zs, xs = z[first:first + _SPLIT_BLOCK], x[first:first + _SPLIT_BLOCK]
+            lo = np.searchsorted(keys, zs + (q - 1), "right")
+            for j in range(1, top + 1):
+                inside = xs <= q >> j
+                window = np.searchsorted(keys, zs + np.where(inside, q >> j, (q >> j) + q), "right")
+                window -= lo
+                window += per_class * inside
+                levels[j] += window.sum()
+                live = window > 0
+                if not live.all():
+                    zs, xs, lo = zs[live], xs[live], lo[live]
+                    if not len(zs):
+                        break
     return levels
 
 
@@ -694,17 +722,27 @@ def _period(q: int, plan: _Plan) -> PeriodResult:
     return PeriodResult(q, plan.n, _count_reductions(q, plan.n))
 
 
-def period_of(q: int) -> PeriodResult:
+def _plan_of(q: int, histogram: bool) -> _Plan:
+    """The plan for 1/q after checking q (q >= 5 for a histogram), from one factor(q).
+
+    The order comes from the factorization, and _plan reads the same one.
+    """
+    _check_modulus(q, minimum=5 if histogram else 3)
+    factors = factor(q)
+    return _plan(q, _order(q, factors), histogram, factors)
+
+
+def period_of(q: int, *, plan: Optional[_Plan] = None) -> PeriodResult:
     """Period of 1/q under the doubling map, for any odd q >= 3.
 
     The period is the order of 2 from factor(q); the steps come from the path
     that _plan picks, the split or the stream.  Both equal what the stepping
     algorithms above return, which the tests hold them to.  Raises
-    CapacityError for a stream over _MAX_STREAM_DOUBLINGS doublings.
+    CapacityError for a stream over _MAX_STREAM_DOUBLINGS doublings.  plan
+    is _plan_of(q, False) when the caller has built it already, as the CLI
+    does to report its path; otherwise it is built here.
     """
-    _check_modulus(q)
-    factors = factor(q)
-    return _period(q, _plan(q, _order(q, factors), False, factors))
+    return _period(q, _plan_of(q, False) if plan is None else plan)
 
 
 def period_capped(q: int, cap: int) -> Optional[PeriodResult]:
@@ -719,11 +757,13 @@ def period_capped(q: int, cap: int) -> Optional[PeriodResult]:
     return _period(q, _plan(q, n, False, factors))
 
 
-def flying_time_histogram(q: int) -> FlyingTimeHistogram:
-    """Frequency of every flying time along the full cycle of 1 in Z_q."""
-    _check_modulus(q, minimum=5)
-    factors = factor(q)
-    plan = _plan(q, _order(q, factors), True, factors)
+def flying_time_histogram(q: int, *, plan: Optional[_Plan] = None) -> FlyingTimeHistogram:
+    """Frequency of every flying time along the full cycle of 1 in Z_q.
+
+    plan is _plan_of(q, True) when the caller has built it already, as for
+    period_of.
+    """
+    plan = _plan_of(q, True) if plan is None else plan
     arr = _flight_counts_split(q, plan.split) if plan.split else _flight_counts_stream(q, plan.n)
     return FlyingTimeHistogram(q, {t: int(arr[t]) for t in range(1, 65) if arr[t]})
 

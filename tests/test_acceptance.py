@@ -226,11 +226,12 @@ def test_criterion_09_long_tier_period(capsys):
     code, out, _ = run_cli(capsys, "period", 4398046508903)
     elapsed = time.perf_counter() - start
     assert code == 0
-    match = re.search(r"period=(\d+)", out)
+    match = re.search(r"period=(\d+) steps=(\d+)", out)
     assert match and int(match.group(1)) == 2199023254451
+    assert int(match.group(2)) == 1099510770885
     with capsys.disabled():
-        print(f"\nCRITERION 9a PASS: period(4398046508903) = 2199023254451 "
-              f"({elapsed:.0f}s)")
+        print(f"\nCRITERION 9a PASS: period(4398046508903) = 2199023254451, "
+              f"steps = 1099510770885 ({elapsed:.0f}s)")
 
 
 @pytest.mark.slow

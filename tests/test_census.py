@@ -442,6 +442,24 @@ def test_census_multiple_witnesses_mean_composite():
             assert census.verdicts[j] is False
 
 
+def test_census_lane_step_cap_from_both_sides(capsys, monkeypatch):
+    # The default cap admits the M(67) slow test and refuses n0 = 79.  Over
+    # the cap, the library and the CLI fail at once, before any lane runs.
+    assert candidate_count(67) * 67 <= census._MAX_LANE_STEPS < candidate_count(79) * 79
+    steps = candidate_count(31) * 31
+    monkeypatch.setattr(census, "_MAX_LANE_STEPS", steps)
+    assert run_census(31).verdicts[31] is True
+    monkeypatch.setattr(census, "_MAX_LANE_STEPS", steps - 1)
+    start = perf_counter()
+    for workers in (1, 2):
+        with pytest.raises(CapacityError, match=rf"n0=31 runs {steps} lane-steps, over the cap of {steps - 1}"):
+            run_census(31, workers=workers)
+    assert main(["mersenne-test", "31"]) == 3
+    assert perf_counter() - start < 1
+    assert capsys.readouterr().out == ""
+    assert candidate_count(127) == 3260954456333195552  # still answers; its census is refused
+
+
 def test_census_validation():
     with pytest.raises(ValueError):
         run_census(9)

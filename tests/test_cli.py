@@ -7,10 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from mersenne_doubling import cli
+from mersenne_doubling import cli, dynamics
 from mersenne_doubling.cli import main
 from mersenne_doubling.detector import STREAM_FILES
 from mersenne_doubling.dynamics import _count_reductions, _flight_counts_stream
+from mersenne_doubling.primality import factor
 
 
 def run_cli(capsys, *args):
@@ -64,7 +65,8 @@ def test_histogram_output(capsys):
 
 def test_period_and_histogram_report_stream_path(capsys):
     # 4194371 and 4291434391 are prime, with orders above the lane cutoff;
-    # 2877926213 is composite, split into orbits of 2039 and 70348.
+    # 2877926213 is composite, split into orbits of 2039 and 70348 for the
+    # count and of 1636 and 87677 for the histogram.
     for q, period, path in ((13, 12, "bigint"), (4194371, 4194370, "lanes"),
                             (4291434391, 143047813, "lanes"), (2877926213, 143439572, "split")):
         for command in ("period", "histogram"):
@@ -81,6 +83,19 @@ def test_split_prints_what_the_stream_prints(capsys):
     assert re.fullmatch(rf"q={q} period={n} steps={_count_reductions(q, n)} seconds=\d+\.\d{{6}}\n", out)
     _, out, _ = run_cli(capsys, "histogram", q)
     assert out == "".join(f"{t}\t{c}\n" for t, c in enumerate(_flight_counts_stream(q, n)) if c)
+
+
+def test_period_and_histogram_factor_q_once(capsys, monkeypatch):
+    # The command counts with the plan it reports: q is factored once, for
+    # the order and the plan, on the lanes and on the split.
+    calls = []
+    monkeypatch.setattr(dynamics, "factor", lambda n: calls.append(n) or factor(n))
+    for q in (4291434391, 1928914067, 2877926213):
+        for command in ("period", "histogram"):
+            calls.clear()
+            code, _, err = run_cli(capsys, command, q)
+            assert code == 0 and calls.count(q) == 1, (command, q, calls)
+    assert "path=split" in err
 
 
 def test_stream_over_the_cap_fails_up_front(capsys):
@@ -266,6 +281,34 @@ def test_bench_kappa_skips_small_q(capsys):
     assert code == 0
     assert "q=121" in out and "q=13" not in out
     assert "skipping q=13" in err
+
+
+def test_bench_kappa_refuses_a_period_over_the_cap_up_front(capsys):
+    # 2**64 - 59 is prime, of order 2**64 - 60: refused before any row, even
+    # the rows of a q listed before it.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "bench-kappa", "--qs", f"13,{2**64 - 59}", "--kappas", "1..2")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err == (f"error: the period of 1/{2**64 - 59} is n = {2**64 - 60}, and stepping it "
+                   f"exceeds the cap of {2**32} doublings\n")
+    assert 143059453 <= cli._MAX_KAPPA_DOUBLINGS  # the slow tier's reference row 4291783591
+
+
+def test_bench_kappa_cap_from_both_sides(capsys, monkeypatch):
+    # 121 = 11**2 has order 110, 13 order 12.  A q that no kappa runs (here
+    # 13 < 2**4) is not gated.
+    monkeypatch.setattr(cli, "_MAX_KAPPA_DOUBLINGS", 110)
+    code, out, _ = run_cli(capsys, "bench-kappa", "--qs", "13,121", "--kappas", "1..2")
+    assert code == 0 and len(out.splitlines()) == 4
+    monkeypatch.setattr(cli, "_MAX_KAPPA_DOUBLINGS", 109)
+    code, out, err = run_cli(capsys, "bench-kappa", "--qs", "13,121", "--kappas", "1..2")
+    assert (code, out) == (3, "") and "n = 110" in err
+    monkeypatch.setattr(cli, "_MAX_KAPPA_DOUBLINGS", 11)
+    code, out, _ = run_cli(capsys, "bench-kappa", "--qs", "13,1025", "--kappas", "4..5")
+    assert (code, out) == (3, "")
+    code, out, _ = run_cli(capsys, "bench-kappa", "--qs", "13,7", "--kappas", "4")
+    assert code == 0 and out == ""
 
 
 def test_bench_kappa_usage_errors(capsys):

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from mersenne_doubling.dynamics import (
     _count_reductions,
     _flight_counts_split,
     _flight_counts_stream,
+    _gap_table,
     _lane_bits,
     _order,
     _plan,
@@ -640,13 +642,20 @@ def _assert_split_matches_stream(q, splits):
 
 def test_split_matches_stream_on_every_coprime_split(monkeypatch):
     # Both orders of every split, the short side first and last; then again
-    # with the short side searched in blocks of 7, so that blocks join.
+    # with the short side searched in blocks of 7 and the long side sorted in
+    # blocks of 4 residues (of g when g > 4), so that blocks join on both.
     qs = [q for q in range(9, 3001, 2) if len(factor(q)) > 1]
-    assert len(qs) == 1044 and sum(len(list(_coprime_splits(q))) for q in qs) == 3208
-    for block in (dynamics._SPLIT_BLOCK, 7):
+    splits = {q: list(_coprime_splits(q)) for q in qs}
+    assert len(qs) == 1044 and sum(map(len, splits.values())) == 3208
+    gcds = [math.gcd(n_a, n_b) for s in splits.values() for _, _, n_a, n_b in s]
+    sides = [n_b for s in splits.values() for _, _, _, n_b in s]
+    joined = [g for g, n_b in zip(gcds, sides) if n_b > max(1, 4 // g) * g]  # more than one long-side block
+    assert len(joined) == 2260 and sum(g > 1 for g in joined) == 1690 and sum(g > 4 for g in joined) == 250
+    for block, long_block in ((dynamics._SPLIT_BLOCK, dynamics._SPLIT_LONG_BLOCK), (7, 4)):
         monkeypatch.setattr(dynamics, "_SPLIT_BLOCK", block)
+        monkeypatch.setattr(dynamics, "_SPLIT_LONG_BLOCK", long_block)
         for q in qs:
-            _assert_split_matches_stream(q, _coprime_splits(q))
+            _assert_split_matches_stream(q, splits[q])
 
 
 def _small_order_parts():
@@ -659,7 +668,8 @@ def test_split_matches_stream_on_random_composites(monkeypatch):
     # Seeded composites of 30-47 bits from prime powers of small order and
     # random primes below 2**18, so that the stream oracle stays short
     # (n <= 2**22).  The first ones hold 3**5 and 7**2.  Short sides longer
-    # than 512 residues are searched in blocks.
+    # than 512 residues are searched in blocks, long sides longer than 4096
+    # sorted in blocks.
     rng = random.Random(0x5B17)
     pool = _small_order_parts()
     qs = []
@@ -675,8 +685,10 @@ def test_split_matches_stream_on_random_composites(monkeypatch):
     splits = {q: [s for s in _coprime_splits(q) if s[2] <= s[3]] for q in qs}  # the short side first
     assert any(math.gcd(n_a, n_b) > 1 for s in splits.values() for _, _, n_a, n_b in s)
     assert sum(n_a > 512 for s in splits.values() for _, _, n_a, _ in s) >= 5
+    assert sum(n_b > 4096 for s in splits.values() for _, _, _, n_b in s) >= 5
     assert sum(q % 3**5 == 0 for q in qs) >= 5 and sum(q % 7**2 == 0 for q in qs) >= 5
     monkeypatch.setattr(dynamics, "_SPLIT_BLOCK", 512)
+    monkeypatch.setattr(dynamics, "_SPLIT_LONG_BLOCK", 4096)
     for q in qs:
         _assert_split_matches_stream(q, splits[q])
 
@@ -699,21 +711,26 @@ def test_public_paths_take_the_split_and_match_the_stream(monkeypatch):
 
 
 def test_split_matches_stream_on_long_orbits():
-    # Composite q whose orbits of about 1.4e8 doublings the plan splits.
-    for q in (2877926213, 1158788783, 16172454177, 11971098199, 1433959207):
+    # Composite q whose orbits of about 1.4e8 doublings the plan splits: both
+    # calls, or (the last three, a small factor times a prime whose order is
+    # n / 92 .. n / 267) the histogram alone, in 2 to 6 long-side blocks.
+    for q in (2877926213, 1158788783, 16172454177, 11971098199, 1433959207, 16365973057,
+              1928914067, 4224669655, 1337563717):
         n = _order(q)
-        assert _plan(q, n, False).path == _plan(q, n, True).path == "split", q
+        assert _plan(q, n, True).path == "split", q
+        assert _plan(q, n, False).path == ("lanes" if q in (1928914067, 4224669655, 1337563717) else "split"), q
         assert period_of(q) == (q, n, _count_reductions(q, n)), q
         flights = _flight_counts_stream(q, n)
         assert flying_time_histogram(q).counts == {t: int(c) for t, c in enumerate(flights) if c}, q
 
 
 def test_plan_paths():
-    # Stream: a prime, a prime power, a split whose long side is nearly the
-    # whole orbit (3 * a prime), orbits under _SPLIT_MIN_DOUBLINGS, and q of
-    # 2**48 or more (the _mulmod bound; n passed in, the plan reads no more).
+    # Stream: a prime, a prime power, splits whose long side is nearly the
+    # whole orbit (3 * a prime, 3 * 13 * a prime), orbits under
+    # _SPLIT_MIN_DOUBLINGS, and q of 2**48 or more (the _mulmod bound; n
+    # passed in, the plan reads no more).
     p = 65519  # order 32759: p * p has order 65519 * 32759
-    stream = {4291434391: "lanes", p * p: "lanes", 3 * 4291434391: "lanes",
+    stream = {4291434391: "lanes", p * p: "lanes", 3 * 4291434391: "lanes", 5560062339: "lanes",
               4194371 * 3: "lanes", 4398046511103: "bigint", 13: "bigint"}
     for q, path in stream.items():
         n = _order(q)
@@ -721,16 +738,67 @@ def test_plan_paths():
             assert _plan(q, n, histogram) == (n, path, ()), q
     assert _order(p * p) >= dynamics._SPLIT_MIN_DOUBLINGS
     assert _plan(2**48 + 21, 1 << 30, True) == (1 << 30, "bigint", ())
-    # Split: orders 2039 and 70348, short side first.
-    for q in (2877926213, 4398046511101):
+    # Split, short side first: 2877926213 into orders 2039 and 70348 for the
+    # count and 1636 and 87677 for the histogram; 1928914067 (orders 198 and
+    # 735665, three long-side blocks) for its histogram only.
+    for q, histograms in ((2877926213, (False, True)), (4398046511101, (False, True)), (1928914067, (True,))):
         n = _order(q)
-        for histogram in (False, True):
+        for histogram in histograms:
             plan = _plan(q, n, histogram, factor(q))
             a, b, n_a, n_b = plan.split
             assert plan.path == "split" and a * b == q and math.gcd(a, b) == 1
             assert (_order(a), _order(b)) == (n_a, n_b) and n_a <= n_b
-            assert math.lcm(n_a, n_b) == n and n_a + n_b <= dynamics._SPLIT_MAX_RESIDUES
-    assert _plan(2877926213, _order(2877926213), True).split[2:] == (2039, 70348)
+            assert math.lcm(n_a, n_b) == n and n_a <= dynamics._SPLIT_MAX_SHORT and n_b <= dynamics._SPLIT_MAX_LONG
+    assert _plan(2877926213, _order(2877926213), False).split[2:] == (2039, 70348)
+    assert _plan(2877926213, _order(2877926213), True).split[2:] == (1636, 87677)
+    assert _plan(1928914067, _order(1928914067), True).split == (437, 4413991, 198, 735665)
+
+
+def test_split_caps_from_both_sides(monkeypatch):
+    # 1928914067 = 19 * 23 * 4413991: the histogram's split is 437 | 4413991
+    # (orders 198 and 735665); every other split has a long side of order
+    # 11 * 735665 or more, and costs more than the stream.
+    q = 1928914067
+    n = _order(q)
+    for short, long, path in ((198, 735665, "split"), (197, 735665, "lanes"), (198, 735664, "lanes")):
+        monkeypatch.setattr(dynamics, "_SPLIT_MAX_SHORT", short)
+        monkeypatch.setattr(dynamics, "_SPLIT_MAX_LONG", long)
+        assert _plan(q, n, True).path == path, (short, long)
+        assert flying_time_histogram(q).period == n
+    # At both caps the model prices a split at about 450 s: no longer than
+    # the slow tier's longest stream (row 9a, 455 s).
+    call_ns, long_ns, short_ns, search_ns = dynamics._SPLIT_NS
+    full = dynamics._SPLIT_MAX_LONG // dynamics._SPLIT_LONG_BLOCK * dynamics._SPLIT_MAX_SHORT
+    levels = math.log2(dynamics._SPLIT_LONG_BLOCK) + 2
+    assert (long_ns * dynamics._SPLIT_MAX_LONG + (short_ns + search_ns * levels) * full) * 1e-9 < 500
+
+
+def test_split_cost_counts_each_long_block(monkeypatch):
+    # Each long-side block searches the whole short side again: in blocks of
+    # 2**10 residues, the 719 blocks of 1928914067's long side price its
+    # split above the stream.
+    q = 1928914067
+    n = _order(q)
+    assert _plan(q, n, True).path == "split"
+    monkeypatch.setattr(dynamics, "_SPLIT_LONG_BLOCK", 1 << 10)
+    assert _plan(q, n, True).path == "lanes"
+
+
+def test_split_peak_memory_stays_under_the_stream():
+    # One long-side block is refilled, so the split of a long side of 3 or 6
+    # blocks holds no more at once than the histogram stream.
+    _gap_table()  # built once per process: left out of both peaks
+    for q in (1928914067, 4224669655):
+        n = _order(q)
+        peaks = []
+        for count in (lambda: _flight_counts_stream(q, n), lambda: _flight_counts_split(q, _plan(q, n, True).split)):
+            tracemalloc.start()
+            try:
+                count()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0], (q, peaks)
 
 
 def test_stream_cap_from_both_sides(monkeypatch):
