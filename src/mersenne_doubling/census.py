@@ -19,6 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .dynamics import _check_workers, _order
 from .errors import CapacityError
 from .primality import is_prime64
 
@@ -29,36 +30,32 @@ REASON_SELF_WITNESS = "self-witness-only"
 REASON_PROPER_DIVISOR = "proper-divisor-witness"
 REASON_MULTIPLE = "multiple-witnesses"
 
-# Lanes stepped together.  A chunk's q, residues, a temporary and two spare
-# buffers (q << 1 and q << 2, or the estimate's inv and float(r)) take
-# 640 KB as uint32 (1.25 MB as uint64) and stay in a core's L2 cache
-# through all n0 steps.  Medians of 15 alternating calls on two shared
-# vCPUs, 2**14 / 2**16 lanes over 2**15: run_census(41) 0.96 / 1.18,
-# run_census(43) 1.02 / 1.12, 2**18 lanes from 2**28 at n0=61 0.97 / 1.24,
-# from 2**33 at n0=67 (uint64) 0.99 / 1.23.
+# Lanes stepped together.  A chunk's q, residues, a temporary and the
+# estimate's two buffers, inv and float(r), take 640 KB as uint32 (1.25 MB as
+# uint64) and stay in a core's L2 cache through all n0 steps.  Medians of 15
+# alternating calls on two shared vCPUs, 2**14 / 2**16 lanes over 2**15:
+# run_census(41) 0.96 / 1.18, run_census(43) 1.02 / 1.12, 2**18 lanes from
+# 2**28 at n0=61 0.97 / 1.24, from 2**33 at n0=67 (uint64) 0.99 / 1.23.
 _LANE_CHUNK = 1 << 15
+
+# Smallest q that runs in a lane.  The seven candidates below it, 7, 9, 15,
+# ..., 31, are counted by dynamics._order, so every chunk starts at k >= 5
+# and the quotient estimate takes at least 5 doublings a pass.  Medians of
+# 21-41 alternating run_census calls on two shared vCPUs, two runs, over a
+# floor of 32: with lanes from q = 7 (the estimate at J = 2), n0=13
+# 1.29-1.33, n0=31 1.83-2.04, n0=41 1.20-1.24, n0=43 1.07-1.14; a floor of
+# 16 / 64 / 128, n0=31..43: 1.02-1.18 / 0.92-1.01 / 0.90-0.97.
+_LANE_FLOOR = 32
 
 # A stream is cut into chunks at every power of two from this one up, so
 # that each chunk from here on lies in one octave 2**k <= q < 2**(k+1) and
 # starts at its own k.  From 2**18 up an octave holds whole _LANE_CHUNK
 # chunks of a stream, so the cut adds no chunk there.  Below it each stream
-# keeps one chunk, from q = 7 or 9.  Medians of 15 alternating run_census
-# calls on two shared vCPUs, a floor of 2**12 / 2**15 / 2**18 over 2**16:
-# n0=31 1.40 / 1.09 / 0.99, n0=41 1.06 / 0.99 / 1.16, n0=43 1.05 / 0.99 /
-# 1.10.
+# keeps one chunk, from its first q at or above _LANE_FLOOR.  Medians of
+# 21-31 alternating run_census calls on two shared vCPUs, a floor of 2**12 /
+# 2**15 / 2**18 over 2**16: n0=31 1.55 / 1.08 / 1.02, n0=41 1.10 / 1.03 /
+# 1.40, n0=43 1.05 / 0.99 / 1.22.
 _SPLIT_FLOOR = 1 << 16
-
-# Most doublings per pass of the subtract jump, which reduces the chunks
-# with k < _ESTIMATE_JUMP: in a census, only each stream's bottom chunk.
-_JUMP = 3
-
-# Smallest k that the quotient estimate reduces.  Below it the estimate's
-# J = k would be at most one doubling longer than the subtract jump's
-# min(3, k), for more array operations.  With the estimate in the bottom
-# chunks too (medians of 15
-# alternating run_census calls on two shared vCPUs): n0=13 1.21x, n0=31
-# 1.74x, n0=41 1.21x, n0=43 1.13x the time.
-_ESTIMATE_JUMP = 5
 
 # The estimate per lane width: float type, signed integer of the same
 # width, longest jump J and bias beta of inv = (1 - beta) * 2**J / q.  See
@@ -128,64 +125,59 @@ def _lane_dtype(q_hi: int) -> type[np.unsignedinteger]:
 def _census_block(first_q: int, count: int, n0: int) -> np.ndarray:
     """Tally of first-return times <= n0 over count candidates first_q, first_q+8, ...
 
-    Lanes double in parallel in chunks of at most _LANE_CHUNK, cut also at
-    every power of two from _SPLIT_FLOOR up, in buffers allocated once per
-    call at the width _lane_dtype gives the call's largest q.  Each chunk
-    runs as views of them at the width _lane_dtype gives its own largest q,
-    so its lane width w is 32 or 64 and that q is below 2**(w-1).
+    The candidates below _LANE_FLOOR are counted by their order,
+    dynamics._order.  The rest double in parallel in lanes, in chunks of at
+    most _LANE_CHUNK, cut also at every power of two from _SPLIT_FLOOR up,
+    in buffers allocated once per call at the width _lane_dtype gives the
+    call's largest q.  Each chunk runs as views of them at the width
+    _lane_dtype gives its own largest q, so its lane width w is 32 or 64 and
+    that q is below 2**(w-1).
 
     Each chunk skips its known prefix: with k = floor(log2) of the chunk's
     smallest q, every lane has 2**j < q for j <= k, so its residue after k
     doublings is 2**k and none of the first k can be 1.  The chunk fills r
-    with 2**k and steps k+1..n0.
+    with 2**k and steps k+1..n0.  k >= 5, since every lane's q is at least
+    _LANE_FLOOR.
 
     A chunk then advances J doublings per pass, s = r << J, and reduces s
-    to 2**J * r mod q in one of two ways, a rule on its k:
+    to 2**J * r mod q by a quotient estimate.  J = min(k, 19) in uint32
+    lanes and min(k, 44) in uint64 lanes, and inv = (1 - beta) * 2**J / q
+    is made once per chunk in float32 with beta = 2**-20, or in float64
+    with beta = 2**-46.  A pass takes d = int(float(r) * inv), t = s - d*q
+    and one pair r = min(t, t - q): t - q wraps above t when t < q.  s and
+    d*q may wrap, but their difference is exact as long as its true value,
+    2**J * r - d*q, lies in 0 .. 2q - 1 < 2**w, that is, as long as d is
+    floor(2**J * r / q) or one less.  Four roundings (q, the division, r,
+    the product) keep float(r) * inv within a factor 1 +- 2**-22 (float32)
+    or 1 +- 2**-51 (float64) of (1 - beta) * 2**J * r / q.  So it lies
+    below 2**J * r / q, and short of it by less than 2**J * 1.25 * 2**-20 <=
+    0.625 (float32, J <= 19) or 2**J * 1.04 * 2**-46 < 0.27 (float64,
+    J <= 44), since r < q.  r < 2**(w-1) is cast through the signed type,
+    and d < 2**J is exact in either float.  The last, short pass of
+    step < J doublings scales inv by 2**(step - J), which is exact.
 
-    * The quotient estimate, for k >= _ESTIMATE_JUMP.  J = min(k, 19) in
-      uint32 lanes and min(k, 44) in uint64 lanes, and
-      inv = (1 - beta) * 2**J / q is made once per chunk in float32 with
-      beta = 2**-20, or in float64 with beta = 2**-46.  A pass takes
-      d = int(float(r) * inv), t = s - d*q and one pair r = min(t, t - q):
-      t - q wraps above t when t < q.  s and d*q may wrap, but their
-      difference is exact as long as its true value, 2**J * r - d*q, lies
-      in 0 .. 2q - 1 < 2**w, that is, as long as d is floor(2**J * r / q)
-      or one less.  Four roundings (q, the division, r, the product) keep
-      float(r) * inv within a factor 1 +- 2**-22 (float32) or 1 +- 2**-51
-      (float64) of (1 - beta) * 2**J * r / q.  So it lies below
-      2**J * r / q, and short of it by less than 2**J * 1.25 * 2**-20 <=
-      0.625 (float32, J <= 19) or 2**J * 1.04 * 2**-46 < 0.27 (float64,
-      J <= 44), since r < q.  r < 2**(w-1) is cast through the signed
-      type, and d < 2**J is exact in either float.  The last, short pass
-      of step < J doublings scales inv by 2**(step - J), which is exact.
-    * The subtract jump, for k < _ESTIMATE_JUMP: J = min(_JUMP, k), then
-      s = min(s, s - (q << i)) for i = J-1 .. 0.  Such a chunk lies below
-      _SPLIT_FLOOR, so q << J < 2**w, and before the subtraction at i
-      s < q << (i + 1): s - (q << i) wraps above s when s < q << i.  In a
-      census it reduces only each stream's bottom chunk, from q = 7 or 9.
-
-    The last jump of a chunk is cut to the steps left.  Every q in the chunk
-    exceeds 2**k, so its order exceeds k >= J and a lane returns to 1 at
-    most once in a jump.  A lane that first returned at step j - e, e < J,
-    ends the jump at j on r = 2**e, and 2**e < q at j means
-    2**(j-e) = 1 mod q.  One read per pass tells whether any lane may have
-    returned: under the estimate the exact (r & (r - 1)).min() == 0, some r
-    is a power of two; under the subtract jump r.min() < 2**step, one
-    operation where the exact read takes three.  Only then are the lanes
+    Every q in the chunk exceeds 2**k, so its order exceeds k >= J and a
+    lane returns to 1 at most once in a jump.  A lane that first returned at
+    step j - e, e < J, ends the jump at j on r = 2**e, and 2**e < q at j
+    means 2**(j-e) = 1 mod q.  One exact read per pass, (r & (r - 1)).min()
+    == 0, tells whether some r is a power of two.  Only then are the lanes
     found whose r is a power of two below 2**step, 2**(step-1) % r == 0,
     and counted: a chunk that spans octaves below _SPLIT_FLOOR also holds
-    unreduced residues 2**j >= 2**(k + step).  A counted lane is then
-    parked where it never reads as a power of two below 2**step: at r = q
-    under the subtract jump, where q > 2**J, and on the 7-cycle (q = 7,
-    r = 3, inv made for 7: residues 3, 6, 5) under the estimate, whose pass
-    would take r = q to 0.
+    residues 2**j >= 2**(k + step) not yet reduced.  A counted lane is then
+    parked on the 7-cycle (q = 7, r = 3, inv made for 7: residues 3, 6, 5),
+    where it never reads as a power of two.
     """
+    v = np.zeros(n0 + 1, dtype=np.int64)
+    below = range(first_q, min(first_q + 8 * count, _LANE_FLOOR), 8)
+    for q in below:
+        order = _order(q)
+        if order <= n0:
+            v[order] += 1
+    first_q, count = first_q + 8 * len(below), count - len(below)
     size = min(_LANE_CHUNK, count)
     widest = _lane_dtype(first_q + 8 * (count - 1))
-    # q, r, t, then q << 1 .. q << (_JUMP - 1) or the estimate's inv and float(r)
-    buffers = [np.empty(size, dtype=widest) for _ in range(2 + _JUMP)]
+    buffers = [np.empty(size, dtype=widest) for _ in range(5)]  # q, r, t, inv, float(r)
     offsets = np.arange(0, 8 * size, 8, dtype=np.uint32)
-    v = np.zeros(n0 + 1, dtype=np.int64)
     start = 0
     while start < count:
         q_lo = first_q + 8 * start
@@ -204,54 +196,36 @@ def _census_chunk(q_lo: int, n: int, n0: int, buffers: list[np.ndarray], offsets
     first buffer.
     """
     dtype = _lane_dtype(q_lo + 8 * (n - 1))
-    qs, r, t, *spare = (b.view(dtype)[:n] for b in buffers)
+    real, signed, longest, bias = _ESTIMATE[dtype]
+    qs, r, t = (b.view(dtype)[:n] for b in buffers[:3])
+    inv, f = (b.view(real)[:n] for b in buffers[3:])
     np.add(offsets[:n], dtype(q_lo), out=qs)
     k = q_lo.bit_length() - 1
-    estimate = k >= _ESTIMATE_JUMP
-    if estimate:
-        real, signed, longest, bias = _ESTIMATE[dtype]
-        jump = min(k, longest)
-        scale = real((1 - bias) * 2**jump)
-        inv, f = (b.view(real) for b in spare)
-        np.divide(scale, qs, out=inv, dtype=real)
-        inv_7, r_signed = scale / real(7), r.view(signed)
-    else:
-        jump = min(_JUMP, k)
-        shifted = [qs, *spare][:jump]  # q << i, i = 0 .. jump - 1
-        for i in range(1, jump):
-            np.left_shift(qs, i, out=shifted[i])
+    jump = min(k, longest)
+    scale = real((1 - bias) * 2**jump)
+    np.divide(scale, qs, out=inv, dtype=real)
+    inv_7, r_signed = scale / real(7), r.view(signed)
     r.fill(1 << k)
     j = k
     while j < n0:
         step = min(jump, n0 - j)
-        np.left_shift(r, step, out=t if estimate else r)  # s, which may wrap under the estimate
-        if estimate:
-            if step < jump:  # the last pass: inv * 2**(step - jump) is exact
-                np.multiply(inv, real(2.0 ** (step - jump)), out=inv)
-            np.copyto(f, r_signed)
-            np.multiply(f, inv, out=f)
-            np.copyto(r_signed, f, casting="unsafe")  # d, in r: floor(2**step * r / q) or one less
-            np.multiply(r, qs, out=r)
-            np.subtract(t, r, out=t)  # s - d*q, in 0 .. 2q - 1
-            np.subtract(t, qs, out=r)
-            np.minimum(t, r, out=r)
-        else:
-            for q_i in reversed(shifted[:step]):
-                np.subtract(r, q_i, out=t)
-                np.minimum(r, t, out=r)
+        np.left_shift(r, step, out=t)  # s, which may wrap
+        if step < jump:  # the last pass: inv * 2**(step - jump) is exact
+            np.multiply(inv, real(2.0 ** (step - jump)), out=inv)
+        np.copyto(f, r_signed)
+        np.multiply(f, inv, out=f)
+        np.copyto(r_signed, f, casting="unsafe")  # d, in r: floor(2**step * r / q) or one less
+        np.multiply(r, qs, out=r)
+        np.subtract(t, r, out=t)  # s - d*q, in 0 .. 2q - 1
+        np.subtract(t, qs, out=r)
+        np.minimum(t, r, out=r)
         j += step
-        if estimate:  # exact: r & (r - 1) is 0 where r is a power of two
-            low, bound = np.bitwise_and(r, np.subtract(r, 1, out=t), out=t), 1
-        else:
-            low, bound = r, 1 << step
-        if low.min() < bound:
-            lanes = (low < bound).nonzero()[0]
+        low = np.bitwise_and(r, np.subtract(r, 1, out=t), out=t)  # 0 where r is a power of two
+        if low.min() == 0:
+            lanes = (low == 0).nonzero()[0]
             lanes = lanes[(1 << step - 1) % r[lanes] == 0]  # r = 2**e, e < step: a return at j - e
             np.add.at(v, j - np.bitwise_count(r[lanes] - 1).astype(np.intp), 1)
-            if estimate:
-                qs[lanes], r[lanes], inv[lanes] = 7, 3, inv_7
-            else:
-                r[lanes] = qs[lanes]
+            qs[lanes], r[lanes], inv[lanes] = 7, 3, inv_7
 
 
 def _slices(first_q: int, count: int, parts: int) -> list[tuple[int, int]]:
@@ -268,8 +242,10 @@ def run_census(n0: int, workers: int = 1) -> MersenneCensus:
     contiguous slice per worker, and the pool takes them in stream order.
     A census of more than _MAX_LANE_STEPS lane-steps fails up front with
     CapacityError.  So does every bound of 2**63 or more (n0 = 127), which
-    no lane width steps: its 2**61 candidates are far over the cap.
+    no lane width steps: its 2**61 candidates are far over the cap.  Fewer
+    than one worker is a ValueError.
     """
+    _check_workers(workers)
     bound = sqrt_of_mersenne(n0)
     streams = _streams(bound)
     candidates = sum(count for _, count in streams)

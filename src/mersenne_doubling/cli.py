@@ -31,6 +31,7 @@ from .detector import (
 from .dynamics import (
     U64_MAX,
     _check_kappa,
+    _check_workers,
     _order,
     _Plan,
     _plan_of,
@@ -136,6 +137,7 @@ def cmd_period(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    _check_workers(args.workers)  # before the output directory is made
     out = Path(args.out_dir)
     try:  # a file in the way of the directory or of a stream file fails before the scan, not after it
         out.mkdir(parents=True, exist_ok=True)

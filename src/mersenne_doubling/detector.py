@@ -16,7 +16,7 @@ from pathlib import Path
 from time import perf_counter
 from typing import Optional
 
-from .dynamics import U64_MAX, _check_modulus, _order, floor_log2
+from .dynamics import U64_MAX, _check_modulus, _check_workers, _order, floor_log2
 from .dynamics import period_of  # unused here; perfbench/tracing.PATCHES wraps it by name
 from .errors import CapacityError
 from .primality import PrimeTable, is_prime64
@@ -121,8 +121,10 @@ def scan_range(q_lo: int, q_hi: int, table: Optional[PrimeTable] = None,
     process until that has taken _POOL_START_S, and only the q left then go
     to a pool of at most one worker process per core and per q, in
     contiguous chunks.  The final sort makes the output deterministic
-    whatever the split.  report.workers is the pool's size, or 1.
+    whatever the split.  report.workers is the pool's size, or 1.  Fewer
+    than one worker is a ValueError.
     """
+    _check_workers(workers)
     for endpoint in (q_lo, q_hi):
         _check_modulus(endpoint, minimum=5)
     direction = "down" if q_lo > q_hi else "up"

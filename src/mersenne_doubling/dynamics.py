@@ -62,6 +62,11 @@ def _check_kappa(kappa: int) -> None:
         raise ValueError(f"kappa must lie in 1..64, got {kappa}")
 
 
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+
+
 class PoincareStep(NamedTuple):
     next_r: int
     flying_time: int

@@ -2,12 +2,18 @@
 
 Everything here is deliberately independent of the implementations under
 test: exact unbounded-int arithmetic for single steps, plain repeated
-doubling for orders, and trial division for primality.
+doubling for orders, and trial division for primality.  The one exception
+is the divisor oracle for the census, which factors Mersenne numbers with
+the kernel's factor and _rho: it finds orders from divisors, with no
+doubling at all.
 """
 
+from functools import cache
 from math import isqrt
 
 import numpy as np
+
+from mersenne_doubling.primality import _rho, factor
 
 
 def order_by_doubling(q: int) -> int:
@@ -133,3 +139,60 @@ def mersenne_is_prime_trial(j: int) -> bool:
             return False
         d = hi + 2
     return True
+
+
+@cache
+def factor_any(n: int) -> dict[int, int]:
+    """{p: e} of n >= 1, whose prime factors must all lie below 2**64.
+
+    A part of 2**64 or more is split by primality._rho until factor can take
+    each piece.  rho never returns on a prime, so such a part must first
+    fail a base-3 Fermat test: a prime factor of 2**64 or more fails the
+    assertion instead of hanging.  Every M(j), j <= 73, passes, each within
+    a few milliseconds.
+    """
+    factors: dict[int, int] = {}
+    pending = [n]
+    while pending:
+        m = pending.pop()
+        if m < 2**64:
+            for p, e in factor(m).items():
+                factors[p] = factors.get(p, 0) + e
+        else:
+            assert pow(3, m - 1, m) != 1, f"{n} may have a prime factor {m} >= 2**64"
+            d = _rho(m)
+            pending += [d, m // d]
+    return factors
+
+
+def divisors(n: int) -> list[int]:
+    """Every divisor of n, from factor_any."""
+    found = [1]
+    for p, e in factor_any(n).items():
+        found = [d * p**k for d in found for k in range(e + 1)]
+    return found
+
+
+def has_order(q: int, n: int) -> bool:
+    """Whether 2 has order exactly n mod a divisor q of 2**n - 1."""
+    return all(pow(2, n // p, q) != 1 for p in factor(n))
+
+
+def first_returns_by_divisors(qs: range, cap: int) -> np.ndarray:
+    """tally[j] = how many q in qs, odd q >= 3, have order j <= cap, from the divisors of M(j).
+
+    q has order j exactly when it divides M(j) and no M(j/p) for a prime
+    p | j, so no q of the range is stepped: the tally is exact for a range
+    of any length.
+    """
+    tally = np.zeros(cap + 1, dtype=np.int64)
+    for j in range(2, cap + 1):
+        tally[j] = sum(1 for d in divisors((1 << j) - 1) if d in qs and has_order(d, j))
+    return tally
+
+
+def tally_by_divisors(n0: int) -> dict[int, int]:
+    """v(j), j = 3..n0, of the census of n0: its candidates q = +-1 (mod 8) from 7 to isqrt(M(n0))."""
+    bound = isqrt((1 << n0) - 1)
+    tally = sum(first_returns_by_divisors(range(first, bound + 1, 8), n0) for first in (7, 9))
+    return {j: int(tally[j]) for j in range(3, n0 + 1)}

@@ -24,7 +24,6 @@ from mersenne_doubling.census import (
     REASON_SELF_WITNESS,
 )
 from mersenne_doubling.cli import main
-from mersenne_doubling.primality import factor
 
 
 def test_sqrt_of_mersenne_examples():
@@ -155,32 +154,28 @@ def test_census_counts_match_unskipped_lanes():
         assert run_census(n0).counts == {j: int(tally[j]) for j in range(3, n0 + 1)}, n0
 
 
-def _divisors(n):
-    divisors = [1]
-    for p, e in factor(n).items():
-        divisors = [d * p**k for d in divisors for k in range(e + 1)]
-    return divisors
-
-
-def _has_order(q, n):
-    """Whether 2 has order exactly n mod a divisor q of 2**n - 1."""
-    return all(pow(2, n // p, q) != 1 for p in factor(n))
-
-
-def _tally_by_divisors(n0):
-    """v(j) from the divisors of M(j), j = 3..n0 <= 63, by the kernel's factor.
-
-    A candidate has order j exactly when it divides M(j) and not M(j/p) for
-    any prime p | j.
-    """
-    bound = sqrt_of_mersenne(n0)
-    return {j: sum(1 for d in _divisors((1 << j) - 1) if 7 <= d <= bound and d % 8 in (1, 7) and _has_order(d, j))
-            for j in range(3, n0 + 1)}
-
-
 @pytest.mark.parametrize("n0", [31, 41, 43, 47, 53, 61])
 def test_census_counts_match_divisors_of_mersenne_numbers(n0):
-    assert run_census(n0, workers=2).counts == _tally_by_divisors(n0)
+    assert run_census(n0, workers=2).counts == oracles.tally_by_divisors(n0)
+
+
+def test_census_block_matches_divisors_in_uint64_windows():
+    # Windows of 2**20 uint64 lanes, where the float64 estimate runs with
+    # J = 31, 33 and 36, against the divisors of M(j) inside them: from 2**31 + 1
+    # (2**31 + 1 itself, order 62, and at n0 = 73 a divisor of order 72) and
+    # from 2**33 + 1 (orders 44 and 66), at n0 = 67 and 73, and the window
+    # ending at the largest candidate of n0 = 73, which holds no divisor.
+    # No census reaches q >= 2**37 (the lane-step cap refuses n0 >= 79), so
+    # J = 36 is the longest that run_census runs.
+    lanes = 2**20
+    top = sqrt_of_mersenne(73)
+    windows = [(n0, first) for n0 in (67, 73) for first in (2**31 + 1, 2**33 + 1)] + [(73, top - 8 * (lanes - 1))]
+    found = 0
+    for n0, first in windows:
+        expected = oracles.first_returns_by_divisors(range(first, first + 8 * lanes, 8), n0)
+        assert list(census._census_block(first, lanes, n0)) == list(expected), (n0, first)
+        found += expected.sum()
+    assert found == 7 and top % 8 == 7
 
 
 def test_census_refuses_a_bound_of_2_63_up_front(capsys):
@@ -239,19 +234,20 @@ def test_census_chunk_and_dtype_boundaries(monkeypatch):
         assert list(census._census_block(first, 40, n0)) == _capped_tally(qs, n0), (n0, first)
 
 
+# k of the lowest chunk: every lane's q is at least the floor.
+_FLOOR_K = census._LANE_FLOOR.bit_length() - 1
+
+
 def _jump(q_lo, q_hi):
-    """(form, doublings per pass) of a chunk from q_lo to q_hi: the subtract jump below k = 5, else the estimate."""
+    """(float type, doublings per pass) of the estimate in a chunk from q_lo to q_hi."""
     k = q_lo.bit_length() - 1
-    if k < census._ESTIMATE_JUMP:
-        return "subtract", min(census._JUMP, k)
     return ("float32", min(k, 19)) if q_hi < 2**31 else ("float64", min(k, 44))
 
 
-# Every jump length that the window test below reaches: the subtract jump
-# runs only where k = 2 (q = 7) or k = 3, 4; the float32 estimate's
-# J = min(k, 19) takes every length from 5; float64 chunks have k >= 31.
-_JUMP_LENGTHS = {("subtract", 2), ("subtract", 3)} | {
-    ("float32", jump) for jump in range(census._ESTIMATE_JUMP, 20)} | {("float64", jump) for jump in (31, 32, 43, 44)}
+# Every jump length that the window test below reaches: the float32
+# estimate's J = min(k, 19) takes every length from k = 5 at the floor;
+# float64 chunks have k >= 31.
+_JUMP_LENGTHS = {("float32", jump) for jump in range(_FLOOR_K, 20)} | {("float64", jump) for jump in (31, 32, 43, 44)}
 
 
 @pytest.fixture
@@ -269,17 +265,19 @@ def chunks(monkeypatch):
 
 
 def test_census_block_cuts_chunks_at_powers_of_two(chunks):
-    # Below 2**16 each stream is one chunk.  From 2**16 up every power of
-    # two ends a chunk, and from 2**18 up an octave holds whole chunks.
+    # Below 2**16 each stream is one chunk, from its first q above the floor
+    # of 32: 39 after 7, 15, 23, 31, and 33 after 9, 17, 25.  From 2**16 up
+    # every power of two ends a chunk, and from 2**18 up an octave holds
+    # whole chunks.
     census._census_block(7, 2**13, 31)
     census._census_block(2**16 + 1 - 8 * 20, 40, 61)
     census._census_block(2**18 + 1, 3 * 2**15, 61)
-    assert chunks == [(7, 2**13), (2**16 - 159, 20), (2**16 + 1, 20),
+    assert chunks == [(39, 2**13 - 4), (2**16 - 159, 20), (2**16 + 1, 20),
                       (2**18 + 1, 2**15), (2**19 + 1, 2**15), (2**19 + 2**18 + 1, 2**15)]
     chunks.clear()
-    assert run_census(47).counts == _tally_by_divisors(47)
+    assert run_census(47).counts == oracles.tally_by_divisors(47)
     bottom = [(q_lo, n) for q_lo, n in chunks if q_lo < 2**16]
-    assert bottom == [(7, 2**13), (9, 2**13 - 1)]
+    assert bottom == [(39, 2**13 - 4), (33, 2**13 - 4)]
     for q_lo, n in chunks:
         k = q_lo.bit_length() - 1
         assert q_lo < 2**16 or q_lo + 8 * (n - 1) < 2 ** (k + 1)
@@ -288,12 +286,14 @@ def test_census_block_cuts_chunks_at_powers_of_two(chunks):
 
 def test_census_block_matches_unskipped_lanes_across_jump_edges(monkeypatch, chunks):
     # Windows of 40 lanes in chunks of 7 against lanes that take every step
-    # from r = 1.  Windows from q = 7 and 9, where k bounds the jump and
-    # chunks span octaves; across 2**e for e = 8 .. 20, where the float32
-    # estimate's J = min(k, 19) runs 7 .. 19; across 2**25, 2**26, 2**29 and
-    # 2**30, all on J = 19; across 2**31, where one call hands float32 jumps
-    # of 19 over to float64 jumps of 31; across 2**32, 2**44 and 2**45, where
-    # J = min(k, 44) reaches 44; across 2**61 and 2**62.
+    # from r = 1.  Windows from q = 7 and 9, whose q below the floor of 32
+    # are counted by their order and whose lanes, from 39 and 33, start at
+    # k = 5, where k bounds the jump and chunks span octaves; across 2**e
+    # for e = 8 .. 20, where the float32 estimate's J = min(k, 19) runs
+    # 7 .. 19; across 2**25, 2**26, 2**29 and 2**30, all on J = 19; across
+    # 2**31, where one call hands float32 jumps of 19 over to float64 jumps
+    # of 31; across 2**32, 2**44 and 2**45, where J = min(k, 44) reaches 44;
+    # across 2**61 and 2**62.
     monkeypatch.setattr(census, "_LANE_CHUNK", 7)
     windows = [(31, 7), (31, 9)]
     windows += [(61, 2**e + 1 - 8 * 20) for e in (*range(8, 21), 25, 26)]
@@ -344,7 +344,7 @@ def _census_windows(draw):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_census_windows())
 def test_census_block_matches_unskipped_lanes(window):
-    # Both lane widths, both reductions and every jump length, in chunks of 7.
+    # Both lane widths, every jump length and the q below the floor of 32, in chunks of 7.
     first, count, n0 = window
     qs = [first + 8 * i for i in range(count)]
     with pytest.MonkeyPatch.context() as mp:
@@ -354,28 +354,27 @@ def test_census_block_matches_unskipped_lanes(window):
 
 def test_census_block_counts_each_step_of_a_jump():
     # One lane of a q of small order j, a divisor of 2**j - 1 that divides
-    # no 2**(j/p) - 1, capped at n0 = j .. j + max(J, 3) - 1: its first
-    # return falls on every step of a full jump and of every shorter final
-    # jump, and is counted at j once.  The orders j = 10 .. 47 reach every
-    # step of the subtract jump and of the float32 estimate.  A float64
-    # chunk has k >= 31, so they return at most 16 doublings into a pass
-    # there: they reach its steps 1 .. 14 only, at lengths 1 .. 44.
-    lanes = [(q, j) for j in range(10, 48) for q in _divisors((1 << j) - 1) if q > 8 and _has_order(q, j)]
+    # no 2**(j/p) - 1, capped at n0 = j .. j + J - 1: its first return falls
+    # on every step of a full jump and of every shorter final jump, and is
+    # counted at j once.  The orders j = 10 .. 47 of the q from the floor of
+    # 32 up reach every step of the float32 estimate.  A float64 chunk has
+    # k >= 31, so they return at most 16 doublings into a pass there: they
+    # reach its steps 1 .. 14 only, at lengths 1 .. 44.
+    lanes = [(q, j) for j in range(10, 48) for q in oracles.divisors((1 << j) - 1)
+             if q >= census._LANE_FLOOR and oracles.has_order(q, j)]
     seen, jumps = set(), set()
     for q, j in lanes:
         form, jump = _jump(q, q)
         jumps.add((form, jump))
         k = q.bit_length() - 1
         start = k + (j - k - 1) // jump * jump  # steps done when the jump holding j begins
-        for n0 in range(j, j + max(jump, census._JUMP)):
+        for n0 in range(j, j + jump):
             seen.add((form, j - start, min(jump, n0 - start)))
             v = census._census_block(q, 1, n0)
             assert v[j] == 1 and v.sum() == 1, (q, n0)
-    assert jumps == _JUMP_LENGTHS - {("subtract", 2)} | {("float64", jump) for jump in range(31, 45)}
-    longest = {"subtract": census._JUMP, "float32": 19}
-    assert {step for step in seen if step[0] in longest} == {
-        (form, step, length) for form in longest
-        for length in range(1, longest[form] + 1) for step in range(1, length + 1)}
+    assert jumps == _JUMP_LENGTHS | {("float64", jump) for jump in range(31, 45)}
+    assert {step for step in seen if step[0] == "float32"} == {
+        ("float32", step, length) for length in range(1, 20) for step in range(1, length + 1)}
     assert {step for form, step, _ in seen if form == "float64"} == set(range(1, 15))
     assert {length for form, _, length in seen if form == "float64"} == set(range(1, 45))
 
@@ -394,15 +393,15 @@ def test_census_estimate_passes_ending_next_to_a_multiple_of_q():
     # 1610612739 (order 174) on q - 1 at x = 87.  q = 2**k + 1 has order 2k,
     # so its first pass, of J = k, ends on 1: every float64 length 32 .. 44.
     n0 = 127
-    passes = [(jump, jump) for jump in range(census._ESTIMATE_JUMP, 20)] + [(19, 30), (31, 31)]  # (J, k)
+    passes = [(jump, jump) for jump in range(_FLOOR_K, 20)] + [(19, 30), (31, 31)]  # (J, k)
     lanes = {(449, 224, 112, 8, 8), (1149816047, 68, 68, 19, 30), (2033100449, 87, 87, 19, 30),
              (1610612739, 174, 87, 19, 30)}  # (q, order, pass end x, J, k)
     lanes |= {(2**k + 1, 2 * k, 2 * k, k, k) for k in range(32, 45)}
     for jump, k in passes:
         for x in range(k + jump, 64, jump):
             for order, m in ((x, (1 << x) - 1), (2 * x, (1 << x) + 1)):
-                lanes |= {(q, order, x, jump, k) for q in _divisors(m)
-                          if q.bit_length() == k + 1 and _has_order(q, order)}
+                lanes |= {(q, order, x, jump, k) for q in oracles.divisors(m)
+                          if q.bit_length() == k + 1 and oracles.has_order(q, order)}
     assert {(order == x, jump, k) for _, order, x, jump, k in lanes} == {
         (ends_on_1, jump, k) for jump, k in passes for ends_on_1 in (True, False)} - {
         (False, 16, 16)} | {(True, k, k) for k in range(32, 45)}
@@ -413,26 +412,26 @@ def test_census_estimate_passes_ending_next_to_a_multiple_of_q():
 
 
 def test_census_block_counts_an_order_once():
-    # Only a lane's first return counts.  It then parks and rides at least
-    # two more passes, the last short one among them: 31 (order 5) in a
-    # subtract chunk at r = q, passes ending at 7, 10, 13 and 14; the rest
-    # on the 7-cycle.  float32: 2**13 - 1 (J = 12, returns at 13, 26 and 39
+    # Only a lane's first return counts.  It then parks on the 7-cycle and
+    # rides at least two more passes, the last short one among them.
+    # float32: 2**6 - 1 (order 6) at the floor, k = J = 5, passes ending at
+    # 10, 15, 20 and 22; 2**13 - 1 (J = 12, returns at 13, 26 and 39
     # of passes ending at 24, 36 and 40), alone and among 20 other lanes;
     # 2**29 - 1 (J = 19, passes ending at 47, 66, ... 123, 127).  float64:
     # 2**31 + 1 (order 62, J = 31) returns exactly at the end of its first
     # pass, then rides passes ending at 93, 124 and 127, alone and among 20
     # lanes of which 10 run float32; 2**37 - 1 (J = 36) at 72, 108, 127.
-    cases = [(31, 1, 14, 5), (2**13 - 1, 1, 40, 13), (2**13 - 1 - 8 * 10, 21, 40, 13), (2**29 - 1, 1, 127, 29),
+    cases = [(2**6 - 1, 1, 22, 6), (2**13 - 1, 1, 40, 13), (2**13 - 1 - 8 * 10, 21, 40, 13), (2**29 - 1, 1, 127, 29),
              (2**31 + 1, 1, 127, 62), (2**31 + 1 - 8 * 10, 21, 127, 62), (2**37 - 1, 1, 127, 37)]
     forms = set()
     for first, count, n0, order in cases:
         q = first + 8 * (count // 2)
         forms.add(_jump(q, q)[0])
-        assert pow(2, order, q) == 1 and _has_order(q, order)
+        assert pow(2, order, q) == 1 and oracles.has_order(q, order)
         v = census._census_block(first, count, n0)
         assert list(v) == list(oracles.first_returns_capped([first + 8 * i for i in range(count)], n0))
         assert v[order] == 1, (first, count)
-    assert forms == {"subtract", "float32", "float64"}
+    assert forms == {"float32", "float64"}
 
 
 def test_census_multiple_witnesses_mean_composite():
@@ -460,18 +459,28 @@ def test_census_lane_step_cap_from_both_sides(capsys, monkeypatch):
     assert candidate_count(127) == 3260954456333195552  # still answers; its census is refused
 
 
-def test_census_validation():
+def test_census_validation(monkeypatch):
     with pytest.raises(ValueError):
         run_census(9)
     with pytest.raises(CapacityError):
         run_census(131)
+
+    def no_lanes(*args):
+        raise AssertionError("a lane ran before workers was checked")
+
+    monkeypatch.setattr(census, "_census_block", no_lanes)
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            run_census(13, workers=workers)
 
 
 @pytest.mark.slow
 def test_census_67_finds_coles_divisor():
     # M(67) = 193707721 * 761838257287.  Only Cole's factor lies under the
     # bound 12148001999, so it is the lone witness and 67 is composite.
+    # Every v(j) equals the divisor oracle's.
     census = run_census(67, workers=2)
+    assert census.counts == oracles.tally_by_divisors(67)
     assert census.counts[67] == 1
     assert census.reasons[67] == REASON_PROPER_DIVISOR
     assert census.verdicts[67] is False

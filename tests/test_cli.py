@@ -254,6 +254,22 @@ def test_mersenne_test_output(capsys):
     assert re.search(r" lane_steps=359104 ns_per_lane_step=\d+\.\d\d seconds=", err)
 
 
+def test_workers_below_one_is_a_usage_error(capsys, monkeypatch, tmp_path):
+    # Both commands that take --workers refuse fewer than one, from the flag
+    # or from MDBL_WORKERS, before any work: no census, no scan, and no
+    # --out-dir made.
+    out_dir = tmp_path / "out"
+    commands = [("mersenne-test", 13), ("scan", 5, 99, "--out-dir", out_dir)]
+    for workers in (0, -1, -2):
+        for command in commands:
+            code, out, err = run_cli(capsys, *command, "--workers", workers)
+            assert (code, out, err) == (2, "", f"error: workers must be >= 1, got {workers}\n"), command
+    monkeypatch.setenv("MDBL_WORKERS", "0")
+    for command in commands:
+        assert run_cli(capsys, *command) == (2, "", "error: workers must be >= 1, got 0\n"), command
+    assert not out_dir.exists()
+
+
 def test_mersenne_test_tiny(capsys):
     code, out, err = run_cli(capsys, "mersenne-test", 3, "--workers", 1)
     assert code == 0

@@ -192,6 +192,16 @@ def test_scan_endpoint_validation():
         scan_range(5.0, 99)
 
 
+def test_scan_refuses_fewer_than_one_worker(monkeypatch):
+    def no_order(q):
+        raise AssertionError("a period was computed before workers was checked")
+
+    monkeypatch.setattr(detector, "_order", no_order)
+    for workers in (0, -1, -2):
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            scan_range(5, 99, workers=workers)
+
+
 def test_write_report(tmp_path):
     report = scan_range(5, 15)
     paths = write_report(report, tmp_path)
