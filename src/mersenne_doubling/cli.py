@@ -24,6 +24,7 @@ from .detector import (
     DEFAULT_L_MAX,
     DEFAULT_LARGE_THRESHOLD,
     STREAM_FILES,
+    _scan_qs,
     find_divisor_of_mersenne,
     scan_range,
     write_report,
@@ -31,7 +32,7 @@ from .detector import (
 from .dynamics import (
     U64_MAX,
     _check_kappa,
-    _check_workers,
+    _lane_bits,
     _order,
     _Plan,
     _plan_of,
@@ -111,13 +112,15 @@ def _parse_kappa_range(text: str) -> list[int]:
     return _parse_int_list(text)
 
 
-def _report_stream(q: int, plan: _Plan, elapsed: float) -> None:
+def _report_stream(q: int, plan: _Plan, histogram: bool, elapsed: float) -> None:
     """One stderr summary line for a command that counted the steps or flights of the period.
 
-    plan is the plan that the command counted with.
+    plan is the plan that the command counted with, for the flights when
+    histogram is set.  width is the lane digit width k, 0 off the lanes.
     """
+    width = _lane_bits(q, plan.n, histogram) if plan.path == "lanes" else 0
     print(
-        f"q={q} period={plan.n} path={plan.path} doublings={plan.n} "
+        f"q={q} period={plan.n} path={plan.path} width={width} doublings={plan.n} "
         f"ns_per_doubling={elapsed * 1e9 / plan.n:.3f} seconds={elapsed:.6f}",
         file=sys.stderr,
     )
@@ -132,12 +135,12 @@ def cmd_period(args: argparse.Namespace) -> int:
         print(f"{args.q}\t{result.period}\t{result.steps}\t{elapsed:.6f}")
     else:
         print(f"q={args.q} period={result.period} steps={result.steps} seconds={elapsed:.6f}")
-    _report_stream(args.q, plan, elapsed)
+    _report_stream(args.q, plan, False, elapsed)
     return 0
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    _check_workers(args.workers)  # before the output directory is made
+    _scan_qs(args.q_lo, args.q_hi, args.workers)  # workers, endpoints and caps, before the output directory
     out = Path(args.out_dir)
     try:  # a file in the way of the directory or of a stream file fails before the scan, not after it
         out.mkdir(parents=True, exist_ok=True)
@@ -168,7 +171,7 @@ def cmd_histogram(args: argparse.Namespace) -> int:
     elapsed = perf_counter() - start
     for t, count in hist.counts.items():
         print(f"{t}\t{count}")
-    _report_stream(args.q, plan, elapsed)
+    _report_stream(args.q, plan, True, elapsed)
     return 0
 
 

@@ -27,6 +27,20 @@ DEFAULT_LARGE_THRESHOLD = 136_279_841
 
 DEFAULT_L_MAX = 1_000_000
 
+# Most candidates l that find_divisor_of_mersenne may try: near n = 10**9 an
+# l takes about 2.8 us on two shared vCPUs (2.82 s for the default l_max of
+# 10**6), so a search at the cap takes about 5 minutes.
+_MAX_L_MAX = 100_000_000
+
+# Most odd q one scan takes, and most bytes its records may hold: every
+# record stays in memory until the write, about 239 bytes a record
+# (tracemalloc, 100 000 records).  A scan at the q cap holds about 1.0 GB,
+# and takes about 32 s at 7.6 us a q near 2**16, up to 3 h at 2.5 ms a q
+# just below 2**64.
+_MAX_SCAN_QS = 1 << 22
+_SCAN_RECORD_BYTES = 239
+_MAX_SCAN_BYTES = 1 << 30
+
 # In-process time after which a scan with workers > 1 hands its remaining q
 # to a process pool: about what starting the pool costs.  The cost of a q
 # varies about 1000x with q, so a count of q would not do.  Medians on two
@@ -111,6 +125,26 @@ def _scan_chunk(qs: range) -> list[tuple[int, int]]:
     return [(q, _order(q)) for q in qs]
 
 
+def _scan_qs(q_lo: int, q_hi: int, workers: int) -> range:
+    """The odd q from q_lo to q_hi (inclusive) in scan order, once the scan's inputs are checked.
+
+    Fewer than one worker or a bad endpoint is a ValueError; more than
+    _MAX_SCAN_QS q, or records of more than _MAX_SCAN_BYTES at
+    _SCAN_RECORD_BYTES each, is a CapacityError.  Nothing is computed.
+    """
+    _check_workers(workers)
+    for endpoint in (q_lo, q_hi):
+        _check_modulus(endpoint, minimum=5)
+    qs = range(q_lo, q_hi + 1, 2) if q_lo <= q_hi else range(q_lo, q_hi - 1, -2)
+    if len(qs) > _MAX_SCAN_QS:
+        raise CapacityError(f"the scan {q_lo}..{q_hi} takes {len(qs)} odd q, "
+                            f"over the cap of {_MAX_SCAN_QS}")
+    if len(qs) * _SCAN_RECORD_BYTES > _MAX_SCAN_BYTES:
+        raise CapacityError(f"the scan {q_lo}..{q_hi} holds about {len(qs) * _SCAN_RECORD_BYTES} bytes "
+                            f"of records, over the cap of {_MAX_SCAN_BYTES}")
+    return qs
+
+
 def scan_range(q_lo: int, q_hi: int, table: Optional[PrimeTable] = None,
                large_threshold: int = DEFAULT_LARGE_THRESHOLD, workers: int = 1) -> ScanReport:
     """Periods of every odd q between the endpoints (inclusive), classified.
@@ -121,14 +155,11 @@ def scan_range(q_lo: int, q_hi: int, table: Optional[PrimeTable] = None,
     process until that has taken _POOL_START_S, and only the q left then go
     to a pool of at most one worker process per core and per q, in
     contiguous chunks.  The final sort makes the output deterministic
-    whatever the split.  report.workers is the pool's size, or 1.  Fewer
-    than one worker is a ValueError.
+    whatever the split.  report.workers is the pool's size, or 1.  The
+    inputs are checked by _scan_qs before any work.
     """
-    _check_workers(workers)
-    for endpoint in (q_lo, q_hi):
-        _check_modulus(endpoint, minimum=5)
+    qs = _scan_qs(q_lo, q_hi, workers)
     direction = "down" if q_lo > q_hi else "up"
-    qs = range(q_lo, q_hi + 1, 2) if direction == "up" else range(q_lo, q_hi - 1, -2)
     workers = min(workers, os.cpu_count() or 1)
     pairs: list[tuple[int, int]] = []
     if workers > 1:
@@ -189,12 +220,15 @@ def find_divisor_of_mersenne(n: int, l_max: int = DEFAULT_L_MAX) -> Optional[tup
     are tested.  Since n is prime, q divides M(n) exactly when 2**n = 1
     (mod q), which is also the sole way the period of 1/q can be n or less
     without being 1.  Returns None when l_max (or the 64-bit candidate
-    limit) is exhausted; M(n) may still be composite.
+    limit) is exhausted; M(n) may still be composite.  l_max over _MAX_L_MAX
+    raises CapacityError before any candidate is tried.
     """
     if n < 3:
         raise ValueError(f"divisor search needs n >= 3, got {n}")
     if n > U64_MAX:
         raise CapacityError(f"divisor search needs n < 2**64, got {n}")
+    if l_max > _MAX_L_MAX:
+        raise CapacityError(f"divisor search of l_max = {l_max} candidates exceeds the cap of {_MAX_L_MAX}")
     if not is_prime64(n):
         raise ValueError(f"divisor search requires a prime exponent, got {n}")
     # Witnesses of compositeness are proper divisors, q <= M(n) - 2; for small

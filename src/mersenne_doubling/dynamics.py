@@ -191,9 +191,9 @@ def period_hybrid(q: int, kappa: int = DEFAULT_KAPPA) -> PeriodResult:
 # k doublings from residue x are one division,
 # x << k = digit * q + new_x, whose quotient digit has a set bit at every
 # doubling that wrapped past q.  Steps = popcount, flying times = gaps between
-# set bits: inside a 16-bit word from _gap_table, across words from
-# _read_flights, which reads each word's first and last set bits off float32
-# exponents.
+# set bits: inside a word of at most 16 bits from _gap_table, across words
+# from _read_flights, which reads each word's first and last set bits off
+# float32 exponents.
 #
 # Two sources produce the same digits; _digit_sources splits the orbit
 # between them.  The bigint source (_wrap_blocks) divides one Python int per
@@ -204,20 +204,28 @@ def period_hybrid(q: int, kappa: int = DEFAULT_KAPPA) -> PeriodResult:
 # quotient digit needs only its own remainder).  A step is t = r << k;
 # d = t // q; r = t - d*q: uint64 floor_divide by a scalar costs about 0.8 ns
 # an element, remainder about 4 ns, so the remainder comes from the quotient
-# (Lemire, Kaser & Kurz, SPE 2019).  The lane starts are the fixed cost of
-# the lane source: a ladder of vector products whose float64 quotient
-# estimate makes each product mod q exact for q < 2**48 (_mulmod), about
-# 0.25 ms a call.  Short orbits take the bigint source alone and build no
-# starts; _LANE_MIN_DOUBLINGS is where the lanes overtake it.
+# (Lemire, Kaser & Kurz, SPE 2019).  A lane step costs about the same at
+# every k, so each lane steps the widest digit that r << k leaves inside
+# uint64 (_lane_bits): k = 32 below 2**32, 64 - bit length from 33 to 48
+# bits.  The histogram reads a digit as words of _word_bits(k) bits, two of
+# 12 to 16 bits for even k of 24 to 32, else one of 16, so from 41 bits it
+# steps k = 16.  The lane starts are the fixed cost of the lane source:
+# Python products, then a ladder of vector products whose float64 quotient
+# estimate makes each product mod q exact for q < 2**48 (_powers, _mulmod),
+# about 0.09 ms a call.  Short orbits take the bigint source alone and build
+# no starts; _LANE_MIN_DOUBLINGS is where the lanes overtake it.
 # ---------------------------------------------------------------------------
 
-# Doublings per divmod block; a multiple of 16, so that blocks and the lane
-# hand-off join on the 16-bit word boundaries that _read_flights counts in.
+# Doublings per divmod block; a multiple of 16, so that one block joins the
+# next on the 16-bit word boundaries that _read_flights counts in.  The lane
+# hand-off needs no such boundary: the first block starts from its own carry.
 _STREAM_BLOCK = 1 << 18
 
 # Lanes stepped side by side, and lane steps per chunk.  On two shared
 # vCPUs, ns per doubling for count / histogram at k = 32 (q = 4291434391,
-# n = 1.4e8) and k = 16 (q = 8599306381, n = 1.3e8), best of three:
+# n = 1.4e8) and k = 16 (q = 8599306381, n = 1.3e8, a multiple of its
+# order; it has 34 bits and took k = 16 before the widths of _lane_bits),
+# best of three:
 #   2**12 lanes,  8 steps: 0.110 / 0.761 and 0.217 / 0.850
 #   2**13 lanes,  4 steps: 0.100 / 0.680 and 0.203 / 0.811
 #   2**13 lanes,  8 steps: 0.102 / 0.615 and 0.204 / 0.719
@@ -230,7 +238,7 @@ _LANE_CHUNK = 8
 
 # Shortest orbit streamed in lanes.  Bigint time over lane time for count /
 # histogram, n a multiple of the order of q = 131213 (k = 32) and of
-# q = 8599306381 (k = 16), medians of 9 alternating calls:
+# q = 8599306381 (then k = 16), medians of 9 alternating calls:
 #   k = 32: 5.2e5 0.73 / 1.09, 6.6e5 0.81 / 1.03, 7.9e5 0.84 / 1.10,
 #           9.2e5 0.78 / 1.31, 1.05e6 1.31 / 1.33, 2.1e6 1.96 / 1.39
 #   k = 16: 1.05e6 2.23 / 1.47, 2.1e6 3.09 / 1.74
@@ -247,6 +255,13 @@ _FEW_WORDS = 1 << 11
 # Most residues that one _powers step multiplies at once: the lane starts
 # in one block, and the temporaries of a split's side within 200 KB.
 _POWERS_BLOCK = 1 << 13
+
+# Residues that _powers builds as Python products before its vector ladder:
+# a ladder step on a few residues costs about 10 us of numpy overhead.  The
+# 8193 lane starts took, best of 9 x 300 calls on two shared vCPUs, 111 us
+# from 1 residue (14 vector steps), 91 us from 16, 87-90 from 32, 83-86
+# from 48 and 64, 84 from 96, 87-89 from 128 and 97-99 from 256.
+_POWERS_HEAD = 64
 
 # The one start of an orbit on the bigint source alone, built once, so that
 # short orbits make no numpy call for it.
@@ -286,28 +301,40 @@ def _wrap_blocks(q: int, n: int, done: int = 0, x: int = 1) -> Iterator[tuple[in
         raise ArithmeticError(f"orbit of 1 mod {q} did not close after {n} doublings")
 
 
-def _lane_bits(q: int, n: int) -> int:
+def _lane_bits(q: int, n: int, histogram: bool = False) -> int:
     """Digit width k of the lane stream for n doublings mod q, or 0 for the bigint stream.
 
-    A lane shifts its residue r < q left by k bits inside uint64, so k = 32
-    needs q < 2**32 and k = 16 needs q < 2**48.
+    A lane shifts its residue r < q left by k bits inside uint64, so k is
+    at most 64 - bit length of q: 32 below 2**32, down to 16 below 2**48.
+    The count steps the widest such k.  The histogram reads each digit as
+    words of _word_bits(k) bits, two words of 12 to 16 bits, so it steps
+    the widest even k of 24 or more, up to 40-bit q, and from 41 bits on
+    k = 16, one 16-bit word: narrower words made its reader slower.
     """
-    k = 32 if q < 2**32 else 16 if q < 2**48 else 0
-    return k if n >= _LANE_MIN_DOUBLINGS and n >= k * _LANES else 0
+    k = min(32, 64 - q.bit_length())
+    if histogram and 16 < k < 32:
+        k = k & ~1 if k >= 24 else 16
+    return k if k >= 16 and n >= _LANE_MIN_DOUBLINGS and n >= k * _LANES else 0
 
 
-def _digit_sources(q: int, n: int) -> tuple[int, np.ndarray, Iterable[np.ndarray],
-                                             Iterator[tuple[int, int]]]:
+def _word_bits(k: int) -> int:
+    """Bits w of the words a k-bit lane digit is read as: 16 up to k = 16, else the digit's halves."""
+    return k // 2 if k > 16 else 16
+
+
+def _digit_sources(q: int, n: int, histogram: bool = False) -> tuple[int, np.ndarray, Iterable[np.ndarray],
+                                                                     Iterator[tuple[int, int]]]:
     """The lane digits and the bigint blocks after them, for n doublings of the orbit of 1.
 
-    Returns the digit width k from _lane_bits, the residues 2**(i*L*k) mod q
-    where the _LANES lanes of L steps start, then the two sources.  The last
-    residue is where the bigint blocks take over; with k = 0 it is the only
-    one, 1, and no lane digit comes.  The starts are stride**i for
-    stride = 2**(L*k), built by a ladder of vector steps that double the
-    filled prefix (_powers): 14 steps for 2**13 lanes.
+    Returns the digit width k from _lane_bits (the histogram's when
+    histogram is set), the residues 2**(i*L*k) mod q where the _LANES lanes
+    of L steps start, then the two sources.  The last residue is where the
+    bigint blocks take over; with k = 0 it is the only one, 1, and no lane
+    digit comes.  The starts are stride**i for
+    stride = 2**(L*k), built by _powers: 64 Python products, then 8 vector
+    steps that double the filled prefix for 2**13 lanes.
     """
-    k = _lane_bits(q, n)
+    k = _lane_bits(q, n, histogram)
     if not k:
         return 0, _BIGINT_START, (), _wrap_blocks(q, n)
     steps = n // k // _LANES
@@ -318,12 +345,19 @@ def _digit_sources(q: int, n: int) -> tuple[int, np.ndarray, Iterable[np.ndarray
 def _powers(first: int, ratio: int, q: int, s: np.ndarray) -> np.ndarray:
     """s, filled with first * ratio**i mod q for i < len(s), for first, ratio < q < 2**48.
 
-    s is uint64.  A ladder of vector steps doubles the filled prefix,
+    s is uint64.  The first _POWERS_HEAD residues are Python products; then
+    a ladder of vector steps doubles the filled prefix,
     s[m:2m] = s[:m] * ratio**m (mod q), each an exact _mulmod, in blocks of
     at most _POWERS_BLOCK residues so that its temporaries stay small.
     """
     count = len(s)
-    s[0], c, m = first, ratio, 1
+    m = min(_POWERS_HEAD, count)
+    head, x = [], first
+    for _ in range(m):
+        head.append(x)
+        x = x * ratio % q
+    s[:m] = head
+    c = pow(ratio, m, q)
     while m < count:  # c = ratio**m
         end = min(2 * m, count)
         for i in range(m, end, _POWERS_BLOCK):
@@ -392,7 +426,9 @@ def _gap_table() -> np.ndarray:
 
     A pair at distance t is a set bit i with bit i + t set and bits
     i + 1 .. i + t - 1 clear; between[w] keeps those clear bits as t grows.
-    No two bits of a 16-bit word lie 16 apart, so t < 16.  Counted in int32
+    No two bits of a 16-bit word lie 16 apart, so t < 16.  A word of fewer
+    bits, w < 2**b for b < 16, has the gaps of the same 16-bit word, so its
+    first 2**b columns serve the lanes' narrower words too.  Counted in int32
     and widened: freeing the 4 MB table lifts glibc's mmap and trim
     thresholds above the buffers each histogram and census call allocates
     (up to 4 MB), which otherwise fault back in on every call.
@@ -406,24 +442,26 @@ def _gap_table() -> np.ndarray:
     return gap.astype(np.int64)
 
 
-def _read_flights(q: int, chunks: Iterable[np.ndarray], carry: np.ndarray,
+def _read_flights(q: int, w: int, chunks: Iterable[np.ndarray], carry: np.ndarray,
                   counts: np.ndarray, word_hist: np.ndarray) -> np.ndarray:
-    """Add the flights that cross 16-bit words to counts, the words to word_hist.
+    """Add the flights that cross w-bit words to counts, the words to word_hist.
 
-    chunks yields (rows, lanes) uint16 arrays, none longer than the first.
-    Column j holds lane j's words in time order, first doubling in the most
-    significant bit, so bit b of row i lies at position 16 * i + 15 - b.
-    carry holds each lane's last wrap before row 0, a position below 0, and
-    positions are counted in its dtype.  A word's first and last set bits
-    come from the float32 exponent of w and of its lowest set bit w & -w
-    (exact below 2**24).  A running maximum down the rows carries each lane's
-    last set bit across zero words and chunks, so the flight ending at a
-    word's first set bit is its distance to that carried bit.  The flights
-    are tallied in pairs, a * 65 + b over the two halves of a chunk, by one
-    bincount of 4225 bins folded back to 65, plus the odd one left over:
-    half as many elements, spread over more bins.  Returns the carry after
-    the last chunk, relative to the row after it.  Raises ArithmeticError
-    on a flight above 64.
+    chunks yields (rows, lanes) uint16 arrays of words below 2**w, w <= 16,
+    none longer than the first.  Column j holds lane j's words in time
+    order, first doubling in the most significant of the w bits, so bit b
+    of row i lies at position w * i + (w - 1) - b.  word_hist has 65536
+    bins whatever w, as _gap_table has columns, and these words fill its
+    first 2**w.  carry holds each lane's last wrap before row 0, a position
+    below 0, and positions are counted in its dtype.  A word x's first and
+    last set bits come from the float32 exponent of x and of its lowest set
+    bit x & -x (exact below 2**24).  A running maximum down the rows carries
+    each lane's last set bit across zero words and chunks, so the flight
+    ending at a word's first set bit is its distance to that carried bit.
+    The flights are tallied in pairs, a * 65 + b over the two halves of a
+    chunk, by one bincount of 4225 bins folded back to 65, plus the odd one
+    left over: half as many elements, spread over more bins.  Returns the
+    carry after the last chunk, relative to the row after it.  Raises
+    ArithmeticError on a flight above 64.
     """
     last = None
     for words in chunks:
@@ -434,7 +472,7 @@ def _read_flights(q: int, chunks: Iterable[np.ndarray], carry: np.ndarray,
             first = np.empty(words.shape, dtype=carry.dtype)
             last = np.empty((rows + 1, lanes), dtype=carry.dtype)  # row 0: the carry
             last[0] = carry
-            base = 16 * np.arange(rows, dtype=carry.dtype)[:, None] + 142  # 15 + float32 exponent bias
+            base = w * np.arange(rows, dtype=carry.dtype)[:, None] + (w - 1 + 127)  # float32 exponent bias 127
         z, e, f, lw = zero[:rows], exponent[:rows], first[:rows], last[:rows + 1]
         b = e.view(np.int32)
         np.equal(words, 0, out=z)
@@ -443,11 +481,11 @@ def _read_flights(q: int, chunks: Iterable[np.ndarray], carry: np.ndarray,
         np.bitwise_and(low, words, out=low)
         np.copyto(e, low)
         np.right_shift(b, 23, out=b)
-        np.subtract(base[:rows], b, out=lw[1:])  # last set bit: 16 * row + 15 - ctz(w)
+        np.subtract(base[:rows], b, out=lw[1:])  # last set bit: w * row + w - 1 - ctz(word)
         np.copyto(lw[1:], -(1 << 14), where=z)
         np.copyto(e, words)
         np.right_shift(b, 23, out=b)
-        np.subtract(base[:rows], b, out=f)  # first set bit: 16 * row + 15 - floor_log2(w)
+        np.subtract(base[:rows], b, out=f)  # first set bit: w * row + w - 1 - floor_log2(word)
         if lanes == 1:  # accumulate is fast down one column, slow across many lanes
             np.maximum.accumulate(lw, axis=0, out=lw)
         else:
@@ -455,7 +493,7 @@ def _read_flights(q: int, chunks: Iterable[np.ndarray], carry: np.ndarray,
                 np.maximum(lw[i], lw[i + 1], out=lw[i + 1])
         np.subtract(f, lw[:-1], out=f)
         np.copyto(f, 0, where=z)
-        np.subtract(lw[-1], 16 * rows, out=last[0])
+        np.subtract(lw[-1], w * rows, out=last[0])
         if f.max() > 64 or last[0].min() < -64:  # before packing: a * 65 + b of larger flights may wrap int16
             raise ArithmeticError(f"flying time above 64 in orbit of 1 mod {q}")
         flat = f.ravel()
@@ -463,31 +501,37 @@ def _read_flights(q: int, chunks: Iterable[np.ndarray], carry: np.ndarray,
         pairs = np.bincount(flat[:h] * 65 + flat[h:2 * h], minlength=65 * 65).reshape(65, 65)
         flights = pairs.sum(axis=0) + pairs.sum(axis=1) + np.bincount(flat[2 * h:], minlength=65)
         counts[1:] += flights[1:]
-        word_hist += np.bincount(words.ravel(), minlength=65536)
+        word_hist[:1 << w] += np.bincount(words.ravel(), minlength=1 << w)
     return carry if last is None else last[0]
 
 
 def _lane_words(k: int, digits: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-    """Each chunk of k-bit lane digits as 16-bit words, k // 16 rows per digit, high word first."""
-    per_digit = k // 16
+    """Each chunk of k-bit lane digits as uint16 words of w = _word_bits(k) bits, high word first.
+
+    k // w rows per digit: one for k = 16, two for even k of 24 to 32.
+    """
+    w = _word_bits(k)
+    per_digit = k // w
     words = np.empty((_LANE_CHUNK * per_digit, _LANES), dtype=np.uint16)
     for chunk in digits:
-        w = words[:len(chunk) * per_digit]
-        by_digit = w.reshape(len(chunk), per_digit, _LANES)
+        out = words[:len(chunk) * per_digit]
+        by_digit = out.reshape(len(chunk), per_digit, _LANES)
         for h in reversed(range(per_digit)):  # low word last in time
             np.copyto(by_digit[:, h], chunk, casting="unsafe")
-            np.right_shift(chunk, np.uint64(16), out=chunk)
-        yield w
+            np.right_shift(chunk, np.uint64(w), out=chunk)
+        if w < 16:  # the low word took the high word's bits too
+            np.bitwise_and(by_digit[:, -1], (1 << w) - 1, out=by_digit[:, -1])
+        yield out
 
 
 def _flight_counts_stream(q: int, n: int) -> np.ndarray:
     """Histogram (index 1..64) of flying times over the n-doubling orbit of 1.
 
-    Gaps inside 16-bit words come from _gap_table over the histogram of the
-    words, over its occupied bins only when n <= 16 * _FEW_WORDS.  Gaps
-    across words come from _read_flights: over the lane words with int16
-    positions (a chunk has at most 16 rows), then over the bigint blocks
-    with int32 positions (up to 2**14 rows).  Before the first word
+    Gaps inside words come from _gap_table over the histogram of the words,
+    over its occupied bins only when n <= 16 * _FEW_WORDS.  Gaps across
+    words come from _read_flights: over the lane words of _word_bits(k) bits
+    with int16 positions (a chunk has at most 16 rows), then over the bigint
+    blocks' 16-bit words with int32 positions (up to 2**14 rows).  Before the first word
     from start residue x, the last wrap lies ctz(x) + 1 doublings back: a
     doubling wrapped exactly when the residue it produced is odd, since q is
     odd, and a residue halves with every step back from an even one.  So a
@@ -497,12 +541,12 @@ def _flight_counts_stream(q: int, n: int) -> np.ndarray:
     gap = _gap_table()  # first: building it lifts the allocator thresholds for the stream's buffers
     counts = np.zeros(65, dtype=np.int64)
     word_hist = np.zeros(65536, dtype=np.int64)
-    k, starts, digits, blocks = _digit_sources(q, n)
+    k, starts, digits, blocks = _digit_sources(q, n, histogram=True)
     carry = -np.bitwise_count(starts ^ (starts - np.uint64(1))).astype(np.int32)  # -(ctz(x) + 1)
-    _read_flights(q, _lane_words(k, digits), carry[:-1].astype(np.int16), counts, word_hist)
+    _read_flights(q, _word_bits(k), _lane_words(k, digits), carry[:-1].astype(np.int16), counts, word_hist)
     columns = (np.frombuffer((d << -m % 16).to_bytes((m + 15) // 16 * 2, "big"), ">u2").reshape(-1, 1)
                for m, d in blocks)  # each block as one lane, its final partial word padded with zeros
-    _read_flights(q, columns, carry[-1:], counts, word_hist)
+    _read_flights(q, 16, columns, carry[-1:], counts, word_hist)
     # Row 0 is empty: no flight has length 0.  einsum, not @: integer matmul has no BLAS.
     bins = (word_hist != 0).nonzero()[0] if n <= 16 * _FEW_WORDS else slice(None)
     counts[1:16] += np.einsum("tw,w->t", gap[1:, bins], word_hist[bins])
@@ -553,13 +597,20 @@ _SPLIT_MAX_LONG = 1 << 28
 _SPLIT_LONG_BLOCK = 1 << 18
 _SPLIT_BLOCK = 1 << 13
 
-# The plan's cost model, in ns, on two shared vCPUs.  The stream, per
-# doubling, best of 3 calls on 16 random q with n = 1.8e7 .. 1.8e8 (bigint
-# from the _LANES table); the lowest of each range is taken:
-#             count        histogram
-#   k = 32    0.064-0.11   0.42-0.49
-#   k = 16    0.13-0.13    0.50-0.55
-#   bigint    0.8          2.7
+# The plan's cost model, in ns, on two shared vCPUs.  The bigint stream
+# costs 0.8 (count) and 2.7 (histogram) a doubling (the _LANES table).  A
+# lane step costs about the same at every digit width k, and the histogram's
+# reader adds about the same per doubling at the word widths it reads (12 to
+# 16 bits), so a lane doubling costs lane_step / k + lane_doubling.  Best of 5 calls at each bit
+# length of q from 31 to 48 (n = 6.7e7, two runs): 1.86-2.28 ns a count's
+# lane step (least squares 2.12, errors up to 14%), and for the histogram
+# 0.38 + 2.38 / k (errors up to 6.4%).  The constants keep this shape but
+# give k = 32 and k = 16 the prices that the split's constants below were
+# set against (best of 3 calls on 16 random q with n = 1.8e7 .. 1.8e8, the
+# lowest of each range: count 0.064 and 0.13, histogram 0.42 and 0.50):
+#   k           32     30     28     26     24     20     16
+#   count       0.065  0.069  0.074  0.080  0.086  0.103  0.129
+#   histogram   0.420  0.425  0.431  0.438  0.447  -      0.500
 # The split: a call, a long-side residue, and per long-side block a
 # short-side residue and that residue's search at each level it stays
 # live.  Fitted by least relative squares to the count and the histogram
@@ -570,8 +621,11 @@ _SPLIT_BLOCK = 1 << 13
 # The constants are the fit raised by half, so that a split picked near the
 # break-even point does not lose: over 240 in-band orbit q (99 counts and
 # 147 histograms split) and 201 splits picked for random q with
-# n = 2**24 .. 2**28, the split took at most 0.63 of the stream's time.
-_STREAM_NS = {0: (0.8, 2.7), 16: (0.13, 0.5), 32: (0.064, 0.42)}
+# n = 2**24 .. 2**28, the split took at most 0.63 of the stream's time, at
+# k = 16 above 2**32.  With the wider lanes above 2**32, 9 of those counts
+# stream instead (at k = 30 and 31), and the plan splits 90 counts and 147
+# histograms of the 240.
+_STREAM_NS = {"bigint": (0.8, 2.7), "lane_step": (2.07, 2.56), "lane_doubling": (0.0, 0.34)}
 _SPLIT_NS = (265e3, 25.0, 55.0, 80.0)
 
 # Most doublings any stream runs: past it, _plan raises CapacityError.  Row
@@ -602,7 +656,15 @@ def _plan(q: int, n: int, histogram: bool, factors: Optional[dict[int, int]] = N
     if n > _MAX_STREAM_DOUBLINGS:
         raise CapacityError(f"the period of 1/{q} is n = {n}, and streaming it exceeds "
                             f"the cap of {_MAX_STREAM_DOUBLINGS} doublings")
-    return _Plan(n, "lanes" if _lane_bits(q, n) else "bigint")
+    return _Plan(n, "lanes" if _lane_bits(q, n, histogram) else "bigint")
+
+
+def _stream_ns(q: int, n: int, histogram: bool) -> float:
+    """The plan's price in ns of one doubling of the stream that would run: lane_step / k + lane_doubling in lanes."""
+    k = _lane_bits(q, n, histogram)
+    if not k:
+        return _STREAM_NS["bigint"][histogram]
+    return _STREAM_NS["lane_step"][histogram] / k + _STREAM_NS["lane_doubling"][histogram]
 
 
 def _split_of(q: int, n: int, histogram: bool, factors: dict[int, int]) -> tuple[int, ...]:
@@ -626,7 +688,7 @@ def _split_of(q: int, n: int, histogram: bool, factors: dict[int, int]) -> tuple
             while order % r == 0 and pow(2, order // r, m) == 1:
                 order //= r
         parts.append((m, order))
-    best, best_ns = (), n * _STREAM_NS[_lane_bits(q, n)][histogram]
+    best, best_ns = (), n * _stream_ns(q, n, histogram)
     call_ns, long_ns, short_ns, search_ns = _SPLIT_NS
     for mask in range(1, 1 << (len(parts) - 1)):  # the last part stays on side b
         a = b = n_a = n_b = 1

@@ -64,17 +64,46 @@ def test_histogram_output(capsys):
 
 
 def test_period_and_histogram_report_stream_path(capsys):
-    # 4194371 and 4291434391 are prime, with orders above the lane cutoff;
+    # 4194371 and 4291434391 are prime, with orders above the lane cutoff.
+    # 4877318423 = 131213 * 37171 has order 7741508, above the lane cutoff
+    # and below the split's, and 33 bits: its lanes step 31-bit digits for
+    # the count and 30-bit digits for the histogram.
     # 2877926213 is composite, split into orbits of 2039 and 70348 for the
-    # count and of 1636 and 87677 for the histogram.
-    for q, period, path in ((13, 12, "bigint"), (4194371, 4194370, "lanes"),
-                            (4291434391, 143047813, "lanes"), (2877926213, 143439572, "split")):
-        for command in ("period", "histogram"):
+    # count and of 1636 and 87677 for the histogram.  width is the lane
+    # digit width of period, then of histogram, and 0 off the lanes.
+    for q, period, path, widths in ((13, 12, "bigint", (0, 0)), (4194371, 4194370, "lanes", (32, 32)),
+                                    (4291434391, 143047813, "lanes", (32, 32)),
+                                    (4877318423, 7741508, "lanes", (31, 30)),
+                                    (2877926213, 143439572, "split", (0, 0))):
+        for command, width in zip(("period", "histogram"), widths):
             code, _, err = run_cli(capsys, command, q)
             assert code == 0
             assert re.fullmatch(
-                rf"q={q} period={period} path={path} doublings={period} "
+                rf"q={q} period={period} path={path} width={width} doublings={period} "
                 r"ns_per_doubling=\d+\.\d{3} seconds=\d+\.\d{6}\n", err), (command, err)
+
+
+def test_range_commands_over_their_caps_fail_up_front(capsys, monkeypatch, tmp_path):
+    # Each used to run until it was stopped.  Now: exit 3, empty stdout, one
+    # error line, no --out-dir made, at once.
+    out_dir = tmp_path / "out"
+    top = 2**64 - 59
+    commands = {
+        ("find-divisor", 61, "--l-max", 10**12):
+            "divisor search of l_max = 1000000000000 candidates exceeds the cap of 100000000",
+        ("scan", 5, top, "--out-dir", out_dir): f"the scan 5..{top} takes {2**63 - 31} odd q, over the cap of {2**22}",
+        ("scan", top, 5, "--out-dir", out_dir): f"the scan {top}..5 takes {2**63 - 31} odd q, over the cap of {2**22}",
+    }
+    for args, message in commands.items():
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *args)
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (3, "", f"error: {message}\n"), args
+    monkeypatch.setenv("MDBL_L_MAX", str(10**8 + 1))
+    assert run_cli(capsys, "find-divisor", 61) == (
+        3, "", "error: divisor search of l_max = 100000001 candidates exceeds the cap of 100000000\n")
+    assert run_cli(capsys, "find-divisor", 13, "--l-max", 10**8)[:2] == (0, "none found\n")
+    assert not out_dir.exists()
 
 
 def test_split_prints_what_the_stream_prints(capsys):

@@ -202,6 +202,40 @@ def test_scan_refuses_fewer_than_one_worker(monkeypatch):
             scan_range(5, 99, workers=workers)
 
 
+def test_scan_caps_from_both_sides(monkeypatch):
+    # 5..99 holds 48 odd q.  At a cap of 48 q, or of 48 records' bytes, it
+    # scans either way; 5..101 and 101..5 are refused before any period.
+    def no_order(q):
+        raise AssertionError("a period was computed before the caps were checked")
+
+    assert len(scan_range(5, 99).even) < 48
+    for cap, value, message in (("_MAX_SCAN_QS", 48, "takes 49 odd q, over the cap of 48"),
+                                ("_MAX_SCAN_BYTES", 48 * detector._SCAN_RECORD_BYTES,
+                                 rf"holds about {49 * detector._SCAN_RECORD_BYTES} bytes of records, "
+                                 rf"over the cap of {48 * detector._SCAN_RECORD_BYTES}")):
+        with monkeypatch.context() as patch:
+            patch.setattr(detector, cap, value)
+            for lo, hi in ((5, 99), (99, 5)):
+                assert sum(scan_range(lo, hi).counts().values()) == 48
+            patch.setattr(detector, "_order", no_order)
+            for lo, hi in ((5, 101), (101, 5)):
+                with pytest.raises(CapacityError, match=rf"the scan {lo}\.\.{hi} {message}$"):
+                    scan_range(lo, hi)
+
+
+def test_scan_caps_admit_the_documented_scans(monkeypatch):
+    # The README's 5..99, the benchmark's windows of 64 odd q and one q just
+    # below 2**64 lie under both caps; a range up to 2**64 - 59 does not, and
+    # fails at once.
+    assert detector._MAX_SCAN_QS >= 64
+    assert 64 * detector._SCAN_RECORD_BYTES <= detector._MAX_SCAN_BYTES
+    assert detector._MAX_SCAN_QS * detector._SCAN_RECORD_BYTES <= detector._MAX_SCAN_BYTES
+    monkeypatch.setattr(detector, "_order", lambda q: pytest.fail("a period was computed"))
+    for lo, hi in ((5, 2**64 - 59), (2**64 - 59, 5), (5, 5 + 2 * detector._MAX_SCAN_QS)):
+        with pytest.raises(CapacityError, match="over the cap of"):
+            scan_range(lo, hi)
+
+
 def test_write_report(tmp_path):
     report = scan_range(5, 15)
     paths = write_report(report, tmp_path)
@@ -282,3 +316,17 @@ def test_find_divisor_validation():
         find_divisor_of_mersenne(9)
     with pytest.raises(CapacityError):
         find_divisor_of_mersenne(2**64 + 13)
+
+
+def test_divisor_search_cap_from_both_sides(monkeypatch):
+    # The default l_max lies under the cap.  At a cap of 100, the searches of
+    # test_find_divisor_examples run; l_max = 101 is refused before n is
+    # even tested for primality.
+    assert detector.DEFAULT_L_MAX <= detector._MAX_L_MAX
+    monkeypatch.setattr(detector, "_MAX_L_MAX", 100)
+    assert find_divisor_of_mersenne(13, l_max=100) is None
+    assert find_divisor_of_mersenne(29, l_max=100) == (233, 4)
+    monkeypatch.setattr(detector, "is_prime64", lambda n: pytest.fail("n was tested"))
+    for n in (13, 61, 2**61 - 1):
+        with pytest.raises(CapacityError, match="l_max = 101 candidates exceeds the cap of 100$"):
+            find_divisor_of_mersenne(n, l_max=101)

@@ -358,44 +358,50 @@ def test_gap_table_matches_definition():
     assert np.array_equal(dynamics._gap_table(), expected)
 
 
-def _column(positions, rows):
-    """rows 16-bit words with a set bit at each position, first doubling in the top bit."""
+def _column(positions, rows, w):
+    """rows w-bit words in uint16 with a set bit at each position, first doubling in the top of the w bits."""
     words = np.zeros(rows, dtype=np.uint16)
     for p in positions:
-        words[p // 16] |= 1 << (15 - p % 16)
+        words[p // w] |= 1 << (w - 1 - p % w)
     return words
 
 
 def test_read_flights_guard():
-    # Hand-made words of 6 rows, as one lane (int32 positions, as for the
-    # bigint blocks) and as three (int16, as for the lanes).  Lane 0 flies 64
-    # from bit 16 across three zero words, as the orbit mod 2**64 - 1 does,
-    # and the flights hold whether the rows come as one chunk or as 5 and 1.
-    # Starting it at bit 15 makes a flight of 65, which must raise both inside
-    # a chunk and in the carry out of the first 5 rows, 65 after that bit.
+    # Hand-made words of w = 16, 15 and 12 bits, 96 positions or a few more
+    # (6, 7 and 8 rows), as one lane (int32 positions, as for the bigint
+    # blocks) and as three (int16, as for the lanes).  Lane 0 flies 64 into
+    # the last row across zero words, as the orbit mod 2**64 - 1 does, and
+    # the flights hold whether the rows come as one chunk or as all but the
+    # last row and then the last.  Starting it one doubling earlier makes a
+    # flight of 65, which must raise both inside a chunk and in the carry out
+    # of the first chunk, 65 after that bit.
     others = [(-1, [0, 15, 16, 40, 90]), (-64, [0, 3, 4, 5, 6, 7, 31, 95])]
-    for n_lanes, dtype in ((1, np.int32), (3, np.int16)):
-        for flight in (64, 65):
-            lanes = [(-3, [80 - flight, 80, 81, 95]), *others][:n_lanes]
-            words = np.stack([_column(positions, 6) for _, positions in lanes], axis=1)
-            carry = np.array([c for c, _ in lanes], dtype=dtype)
-            if flight == 65:
-                for chunks in ([words], [words[:5]]):
-                    with pytest.raises(ArithmeticError, match="above 64"):
-                        dynamics._read_flights(2**64 - 1, chunks, carry, np.zeros(65, dtype=np.int64),
-                                               np.zeros(65536, dtype=np.int64))
-                continue
-            for chunks in ([words], [words[:5], words[5:]]):
-                counts = np.zeros(65, dtype=np.int64)
-                word_hist = np.zeros(65536, dtype=np.int64)
-                out = dynamics._read_flights(2**64 - 1, chunks, carry, counts, word_hist)
-                assert out.tolist() == [positions[-1] - 16 * 6 for _, positions in lanes]
-                assert np.array_equal(word_hist, np.bincount(words.ravel(), minlength=65536))
-                counts[1:16] += dynamics._gap_table()[1:] @ word_hist
-                expected = np.zeros(65, dtype=np.int64)
-                for c, positions in lanes:
-                    np.add.at(expected, np.diff([c, *positions]), 1)
-                assert np.array_equal(counts, expected), (n_lanes, len(chunks))
+    for w in (16, 15, 12):
+        rows = -(-96 // w)
+        end = (rows - 1) * w  # the first position of the last row
+        for n_lanes, dtype in ((1, np.int32), (3, np.int16)):
+            for flight in (64, 65):
+                lanes = [(-3, [end - flight, end, end + 1, rows * w - 1]), *others][:n_lanes]
+                words = np.stack([_column(positions, rows, w) for _, positions in lanes], axis=1)
+                carry = np.array([c for c, _ in lanes], dtype=dtype)
+                if flight == 65:
+                    for chunks in ([words], [words[:-1]]):
+                        with pytest.raises(ArithmeticError, match="above 64"):
+                            dynamics._read_flights(2**64 - 1, w, chunks, carry, np.zeros(65, dtype=np.int64),
+                                                   np.zeros(65536, dtype=np.int64))
+                    continue
+                for chunks in ([words], [words[:-1], words[-1:]]):
+                    counts = np.zeros(65, dtype=np.int64)
+                    word_hist = np.zeros(65536, dtype=np.int64)
+                    out = dynamics._read_flights(2**64 - 1, w, chunks, carry, counts, word_hist)
+                    assert out.tolist() == [positions[-1] - w * rows for _, positions in lanes]
+                    assert np.array_equal(word_hist, np.bincount(words.ravel(), minlength=65536))
+                    assert not word_hist[1 << w:].any()
+                    counts[1:16] += dynamics._gap_table()[1:] @ word_hist
+                    expected = np.zeros(65, dtype=np.int64)
+                    for c, positions in lanes:
+                        np.add.at(expected, np.diff([c, *positions]), 1)
+                    assert np.array_equal(counts, expected), (w, n_lanes, len(chunks))
 
 
 def test_flights_above_2_48_match_oracle(monkeypatch):
@@ -459,22 +465,56 @@ def test_lanes_match_bigint_on_stream_ranges(monkeypatch):
     assert in_lanes > len(qs) // 3
 
 
+# Digit widths (count, histogram) by bit length of q: the widest k with
+# r << k inside uint64 for the count; for the histogram, the widest even k
+# of 24 or more, read as two words of k / 2 bits, else one word of 16.
+_WIDTHS = {
+    **dict.fromkeys(range(2, 33), (32, 32)),
+    **{b: (64 - b, (64 - b) & ~1) for b in range(33, 41)},
+    **{b: (64 - b, 16) for b in range(41, 49)},
+    **dict.fromkeys(range(49, 65), (0, 0)),
+}
+
+
 def test_lanes_match_bigint_at_width_edges(monkeypatch):
-    # The largest q below and the smallest above 2**32 and 2**48, and q with
-    # orders in the thousands just beside 2**32 and below 2**48.  Any multiple
-    # of the order closes the orbit, so n takes a few thousand doublings.
-    edges = {
-        2**32 - 1: 32, 4294967261: 32, 4294967191: 32,
-        2**32 + 1: 16, 4294967439: 16, 4294968093: 16,
-        281472829358079: 16, 2**48 - 1: 16, 2**48 + 1: 0,
-    }
-    for q, k in edges.items():
+    # The smallest and the largest odd q of each bit length from 31 to 49,
+    # and q with orders in the thousands just beside 2**32 and below 2**48.
+    # Any multiple of the order closes the orbit, so n takes a few thousand
+    # doublings.
+    edges = [4294967261, 4294967191, 4294967439, 4294968093, 281472829358079]
+    edges += [q for b in range(31, 50) for q in (2**(b - 1) + 1, 2**b - 1)]
+    for q in edges:
         m = _order(q)
         n = m * -(-4000 // m)
         for lanes, chunk in ((1, 1), (2, 3), (5, 2)):
             _shrink_lanes(monkeypatch, lanes, chunk)
-            assert _lane_bits(q, n) == k
+            assert (_lane_bits(q, n), _lane_bits(q, n, True)) == _WIDTHS[q.bit_length()], q
             _assert_lanes_match(monkeypatch, q, n)
+
+
+def test_lanes_match_bigint_at_every_width(monkeypatch):
+    # One q of each bit length from 31 to 48 with the orbit of a 20-bit prime
+    # p, times primes whose orders divide p's: their digits are as irregular
+    # as the prime's, where the edges above repeat a short cycle.  Each width
+    # of both rules runs in 61 lanes of 3-step chunks.
+    p = 1048609  # prime; the order of 2 is 524304 = 2**4 * 3**2 * 11 * 331
+    n = _order(p)
+    small = [r for r in range(3, 1 << 12, 2) if is_prime64(r) and n % _order(r) == 0]
+    qs = {}
+    for i, a in enumerate(small):
+        for b in [1, *small[i + 1:]]:
+            for c in [1, *small[i + 1:]]:
+                if c == 1 or c > b > 1:
+                    qs.setdefault((p * a * b * c).bit_length(), p * a * b * c)
+    assert set(range(31, 49)) <= set(qs)
+    _shrink_lanes(monkeypatch, lanes=61, chunk=3)
+    widths = set()
+    for bits in range(31, 49):
+        q = qs[bits]
+        assert _order(q) == n
+        widths.add((_lane_bits(q, n), _lane_bits(q, n, True)))
+        _assert_lanes_match(monkeypatch, q, n)
+    assert widths == {_WIDTHS[b] for b in range(31, 49)}
 
 
 def _wrap_positions(q, n):
@@ -485,18 +525,23 @@ def _wrap_positions(q, n):
 
 
 def test_lanes_carry_long_flights_across_joins(monkeypatch):
-    # Flights longer than 16 leave zero 16-bit words.  Each q here has such
-    # flights, and for each, some lane count and chunk length puts one across
-    # a lane join and one across a chunk join inside a lane.
-    for q in (2**32 - 1, 2**32 + 1, 2**48 - 1):
+    # Flights longer than a word leave zero words: 16-bit words below 2**32
+    # and from 41 bits, 15-bit words at 33 and 34 bits, 12-bit words at 39
+    # and 40.  Each q here has such flights, and for each, some lane count
+    # and chunk length of the histogram's lanes puts one across a lane join
+    # and one across a chunk join inside a lane.
+    words = set()
+    for q in (2**32 - 1, 2**32 + 1, 2**34 - 1, 2**38 + 1, 2**40 - 1, 2**48 - 1):
         m = _order(q)
         n = m * -(-3000 // m)
         positions = _wrap_positions(q, n)
-        long_flights = [(a, b) for a, b in zip(positions, positions[1:]) if b - a > 16]
         straddles = {"lane": 0, "chunk": 0}
         for lanes, chunk in ((2, 1), (3, 2), (5, 1), (7, 3)):
             _shrink_lanes(monkeypatch, lanes, chunk)
-            k = _lane_bits(q, n)
+            k = _lane_bits(q, n, True)
+            w = dynamics._word_bits(k)
+            words.add(w)
+            long_flights = [(a, b) for a, b in zip(positions, positions[1:]) if b - a > w]
             steps = n // k // lanes
             joins = {
                 "lane": [i * steps * k for i in range(1, lanes + 1)],
@@ -506,6 +551,7 @@ def test_lanes_carry_long_flights_across_joins(monkeypatch):
                 straddles[kind] += any(a < j <= b for a, b in long_flights for j in at)
             _assert_lanes_match(monkeypatch, q, n)
         assert straddles["lane"] and straddles["chunk"], q
+    assert words == {16, 15, 12}
 
 
 def test_lanes_at_the_cutoff():
@@ -513,32 +559,37 @@ def test_lanes_at_the_cutoff():
     # The stream of j * order doublings is the cycle j times over, so its
     # steps and flights are j times those of one cycle, which stays on the
     # bigint stream.
-    for q, k in ((131213, 32), (4302784771, 16)):  # primes of orders 131212, 265686
+    for q, k in ((131213, (32, 32)), (4302784771, (31, 30))):  # primes of orders 131212, 265686
         m = _order(q)
         count, hist = _count_reductions(q, m), _flight_counts_stream(q, m)
         assert not _lane_bits(q, m)
         below = m * ((dynamics._LANE_MIN_DOUBLINGS - 1) // m)
         for n in (below, below + m):
-            assert _lane_bits(q, n) == (k if n >= dynamics._LANE_MIN_DOUBLINGS else 0)
+            assert (_lane_bits(q, n), _lane_bits(q, n, True)) == (k if n >= dynamics._LANE_MIN_DOUBLINGS else (0, 0))
             assert _count_reductions(q, n) == n // m * count
             assert np.array_equal(_flight_counts_stream(q, n), n // m * hist)
 
 
 def test_lane_starts_are_powers_of_two(monkeypatch):
-    # The vector ladder against pow, beside both widths' edges, with the
-    # real lane count and with lane counts that are not powers of two.
+    # The Python products and the vector ladder after them against pow, at
+    # the count's and the histogram's widths beside the width edges (words of
+    # 16, 15 and 12 bits), with the real lane count and with lane counts that
+    # are not powers of two: all products (5, 7), one vector step of 1
+    # residue (64) and a partial step (200).
     n = 3 * (1 << 20) + 5
-    for lanes in (dynamics._LANES, 5, 7):
+    for lanes in (dynamics._LANES, 5, 7, 64, 200):
         monkeypatch.setattr(dynamics, "_LANES", lanes)
-        for q, k in ((2**32 - 5, 32), (2**32 + 15, 16), (2**48 - 59, 16)):
-            width, starts, _, _ = dynamics._digit_sources(q, n)
-            stride = n // k // lanes * k
-            assert width == k
-            assert starts.tolist() == [pow(2, i * stride, q) for i in range(lanes + 1)], (q, lanes)
+        for q, widths in ((2**32 - 5, (32, 32)), (2**32 + 15, (31, 30)), (2**40 - 87, (24, 24)),
+                          (2**40 + 15, (23, 16)), (2**48 - 59, (16, 16))):
+            for histogram, k in zip((False, True), widths):
+                width, starts, _, _ = dynamics._digit_sources(q, n, histogram)
+                stride = n // k // lanes * k
+                assert width == k
+                assert starts.tolist() == [pow(2, i * stride, q) for i in range(lanes + 1)], (q, lanes)
 
 
 def test_lane_count_matches_bigint_popcount():
-    for q, k in ((4291434391, 32), (8599306381, 16)):
+    for q, k in ((4291434391, 32), (8599306381, 30)):
         n = _order(q)
         assert _lane_bits(q, n) == k
         assert _count_reductions(q, n) == sum(quotient.bit_count() for _, quotient in _wrap_blocks(q, n)), q
@@ -698,7 +749,7 @@ def test_public_paths_take_the_split_and_match_the_stream(monkeypatch):
     # the split, the plan's split through the public functions, against the
     # stream.
     monkeypatch.setattr(dynamics, "_SPLIT_MIN_DOUBLINGS", 0)
-    monkeypatch.setattr(dynamics, "_STREAM_NS", dict.fromkeys((0, 16, 32), (1e9, 1e9)))
+    monkeypatch.setattr(dynamics, "_STREAM_NS", dict.fromkeys(("bigint", "lane_step", "lane_doubling"), (1e9, 1e9)))
     split = 0
     for q in [*range(1001, 1400, 2), 3**5 * 7**2 * 31, 1433959207]:
         n = _order(q)
@@ -712,13 +763,16 @@ def test_public_paths_take_the_split_and_match_the_stream(monkeypatch):
 
 def test_split_matches_stream_on_long_orbits():
     # Composite q whose orbits of about 1.4e8 doublings the plan splits: both
-    # calls, or (the last three, a small factor times a prime whose order is
-    # n / 92 .. n / 267) the histogram alone, in 2 to 6 long-side blocks.
-    for q in (2877926213, 1158788783, 16172454177, 11971098199, 1433959207, 16365973057,
-              1928914067, 4224669655, 1337563717):
+    # calls, or the histogram alone, in 2 to 6 long-side blocks, where the
+    # count streams.  Those are the last four: a small factor times a prime
+    # whose order is n / 92 .. n / 267, or (16365973057, 34 bits, orders 630
+    # and 437908) n / 315 in 30-bit lanes.
+    for q in (2877926213, 1158788783, 16172454177, 11971098199, 1433959207,
+              1928914067, 4224669655, 1337563717, 16365973057):
         n = _order(q)
         assert _plan(q, n, True).path == "split", q
-        assert _plan(q, n, False).path == ("lanes" if q in (1928914067, 4224669655, 1337563717) else "split"), q
+        assert _plan(q, n, False).path == ("lanes" if q in (1928914067, 4224669655, 1337563717, 16365973057)
+                                           else "split"), q
         assert period_of(q) == (q, n, _count_reductions(q, n)), q
         flights = _flight_counts_stream(q, n)
         assert flying_time_histogram(q).counts == {t: int(c) for t, c in enumerate(flights) if c}, q
