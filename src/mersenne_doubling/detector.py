@@ -34,20 +34,31 @@ _MAX_L_MAX = 100_000_000
 
 # Most odd q one scan takes, and most bytes its records may hold: every
 # record stays in memory until the write, about 239 bytes a record
-# (tracemalloc, 100 000 records).  A scan at the q cap holds about 1.0 GB,
-# and takes about 32 s at 7.6 us a q near 2**16, up to 3 h at 2.5 ms a q
-# just below 2**64.
+# (tracemalloc, 100 000 records).  A scan at the q cap holds about 1.0 GB.
 _MAX_SCAN_QS = 1 << 22
 _SCAN_RECORD_BYTES = 239
 _MAX_SCAN_BYTES = 1 << 30
+
+# Most seconds of order work one scan may take, at the upper cost a q of
+# _SCAN_US_PER_Q.  Each band (last bit length, us a q) costs its q at the
+# largest mean scan_range time a q measured over windows of 64 odd q at the
+# band's last bit length: 4 runs of 9 to 30 windows on two shared vCPUs,
+# whose speed moved 1.7x from run to run.  The 130 us of 17-24 bits is one
+# slow window; the others there took at most 38 us a q.  So the 2**22 q
+# from 5 are priced at about 540 s, and about 176 000 q just below 2**64
+# reach the cap, where 2**22 of them would take about 4 h.
+_SCAN_US_PER_Q = ((16, 12), (24, 130), (32, 130), (40, 300), (48, 480), (56, 1200), (64, 3400))
+_MAX_SCAN_S = 600
 
 # In-process time after which a scan with workers > 1 hands its remaining q
 # to a process pool: about what starting the pool costs.  The cost of a q
 # varies about 1000x with q, so a count of q would not do.  Medians on two
 # shared vCPUs, in process / workers=2 pool from the first q / this rule:
-# 5..99 0.1-0.3 / 11-14 / 0.3-0.4 ms, 4k q near 2**16 36-39 / 54-59 /
-# 55-65 ms, 16 q just below 2**64 45-72 / 51-55 / 52-58 ms, 64 q just
-# below 2**64 160 / 114-118 / 115-136 ms.
+# 5..99 0.1-0.3 / 8.3-9.0 / 0.1-0.3 ms, 4k q near 2**16 22-25 / 33-40 /
+# 42-43 ms, 16 q just below 2**64 38-61 / 43-49 / 50-54 ms, 64 q just
+# below 2**64 135-140 / 93-108 / 96-128 ms.  At a budget of 25 ms the rule
+# took 26-28 ms on the 4k row, but 51-53 and 118-146 ms on the rows below
+# 2**64, where the host's spread is as wide as the difference.
 _POOL_START_S = 0.01
 
 STREAM_LARGE_PRIME = "large-prime"
@@ -125,12 +136,24 @@ def _scan_chunk(qs: range) -> list[tuple[int, int]]:
     return [(q, _order(q)) for q in qs]
 
 
+def _scan_seconds(q_lo: int, q_hi: int) -> float:
+    """Upper estimate of the seconds the order work of the odd q in [q_lo, q_hi] takes, summed per band."""
+    seconds, below = 0.0, q_lo
+    for bits, us in _SCAN_US_PER_Q:
+        top = min(q_hi, (1 << bits) - 1)
+        if top >= below:
+            seconds += ((top - below) // 2 + 1) * us * 1e-6
+            below = top + 2
+    return seconds
+
+
 def _scan_qs(q_lo: int, q_hi: int, workers: int) -> range:
     """The odd q from q_lo to q_hi (inclusive) in scan order, once the scan's inputs are checked.
 
     Fewer than one worker or a bad endpoint is a ValueError; more than
-    _MAX_SCAN_QS q, or records of more than _MAX_SCAN_BYTES at
-    _SCAN_RECORD_BYTES each, is a CapacityError.  Nothing is computed.
+    _MAX_SCAN_QS q, records of more than _MAX_SCAN_BYTES at
+    _SCAN_RECORD_BYTES each, or order work estimated over _MAX_SCAN_S
+    seconds is a CapacityError.  Nothing is computed.
     """
     _check_workers(workers)
     for endpoint in (q_lo, q_hi):
@@ -142,6 +165,10 @@ def _scan_qs(q_lo: int, q_hi: int, workers: int) -> range:
     if len(qs) * _SCAN_RECORD_BYTES > _MAX_SCAN_BYTES:
         raise CapacityError(f"the scan {q_lo}..{q_hi} holds about {len(qs) * _SCAN_RECORD_BYTES} bytes "
                             f"of records, over the cap of {_MAX_SCAN_BYTES}")
+    seconds = _scan_seconds(min(q_lo, q_hi), max(q_lo, q_hi))
+    if seconds > _MAX_SCAN_S:
+        raise CapacityError(f"the scan {q_lo}..{q_hi} takes about {seconds:.0f} s of order work, "
+                            f"over the cap of {_MAX_SCAN_S} s")
     return qs
 
 
@@ -191,23 +218,30 @@ def scan_range(q_lo: int, q_hi: int, table: Optional[PrimeTable] = None,
 def write_report(report: ScanReport, out_dir: str | Path) -> dict[str, Path]:
     """Write the four record streams as segm<TAB>q<TAB>period lines, LF-terminated.
 
-    out_dir is made if missing.  Each file is overwritten in place and then
-    cut at the end of its new rows, so it ends up byte for byte as a fresh
-    write would leave it; a new file gets mode 0o666 less the umask.  The
-    truncation on open that this avoids took 52-93 us per file on an ext4
-    root mounted with discard, against 3-11 us for the overwrite and cut.
-    The write is not atomic: one that fails part way can leave old bytes
-    after the new rows.
+    out_dir is made if missing.  Each stream's rows are joined into one
+    string, written with os.write to the descriptor os.open gives (again
+    after a short write), and the file is then cut at the end of the new
+    rows: it ends up byte for byte as a fresh write would leave it, and a
+    new file gets mode 0o666 less the umask.  The truncation on open that
+    this avoids took 52-93 us per file on an ext4 root mounted with discard,
+    against 3-11 us for the overwrite and cut.  The write is not atomic: one
+    that fails part way can leave old bytes after the new rows.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    if not out.is_dir():  # one stat, where mkdir(exist_ok=True) of an existing directory raises and catches
+        out.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {}
     for tag, name in STREAM_FILES.items():
         path = out / name
-        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline="\n") as fh:
-            for rec in report.stream(tag):
-                fh.write(f"{rec.segment}\t{rec.q}\t{rec.period}\n")
-            fh.truncate()
+        data = "".join([f"{rec.segment}\t{rec.q}\t{rec.period}\n" for rec in report.stream(tag)]).encode()
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
         paths[tag] = path
     return paths
 

@@ -1,11 +1,14 @@
 """The 64-bit arithmetic kernel and the primality range of is_prime.
 
-is_prime64 is Miller-Rabin to the first twelve prime bases, exact below
-psi_12 ~ 3.18e23 and so for every n < 2**64 (Sorenson & Webster, Math. Comp.
-86, 2017).  factor uses trial division by the primes below 1000, which stops
-once d*d > n and records a leftover n > 1 as prime without Miller-Rabin;
-only a leftover that no prime below 1000 divides goes on to is_prime64 and
-Pollard rho.
+Below 2**16 both factor and is_prime64 read one 64 KB table, _SPF, built at
+import: the smallest prime factor of every composite n < 2**16, and 0 for
+every prime.  Above it, is_prime64 is Miller-Rabin to the first twelve prime
+bases, exact below psi_12 ~ 3.18e23 and so for every n < 2**64 (Sorenson &
+Webster, Math. Comp. 86, 2017).  factor trial-divides by the primes below
+1000 only while the cofactor is at least 2**16, and reads a smaller one off
+the table; division stops once d*d > n and records a leftover n > 1 as prime
+without Miller-Rabin.  Only a leftover that no prime below 1000 divides goes
+on to is_prime64 and Pollard rho.
 A PrimeTable of bound B has capacity B*B, the largest n that is_prime decides;
 the default bound of two million gives 4e12.
 """
@@ -22,15 +25,29 @@ DEFAULT_PRIME_BOUND = 2_000_000
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _RHO_BATCH = 128  # rho steps per gcd
-# The primes below 1000: each odd d with no odd divisor p in 3..sqrt(d).
-_TRIAL_DIVISORS = (2, *(d for d in range(3, 1000, 2)
-                        if all(map(d.__mod__, range(3, isqrt(d) + 1, 2)))))
+_SPF_LIMIT = 1 << 16
+
+
+def _smallest_prime_factors() -> bytearray:
+    """spf[n] = the smallest prime factor of each composite n < 2**16, 0 for a prime (and for 0, 1).
+
+    Each prime p below 256 = sqrt(2**16) marks p*p, p*p + p, ...; the
+    primes go in descending order, so the smallest one writes last.
+    """
+    spf = bytearray(_SPF_LIMIT)
+    for p in reversed([p for p in range(2, 256) if all(map(p.__mod__, range(2, isqrt(p) + 1)))]):
+        spf[p * p::p] = bytes((p,)) * len(range(p * p, _SPF_LIMIT, p))
+    return spf
+
+
+_SPF = _smallest_prime_factors()
+_TRIAL_DIVISORS = tuple(n for n in range(2, 1000) if not _SPF[n])  # the primes below 1000
 
 
 def is_prime64(n: int) -> bool:
-    """Whether 0 <= n < 2**64 is prime, by Miller-Rabin to the bases 2..37."""
-    if n < 2:
-        return False
+    """Whether 0 <= n < 2**64 is prime: one read of _SPF below 2**16, Miller-Rabin to the bases 2..37 above."""
+    if n < _SPF_LIMIT:
+        return n > 1 and not _SPF[n]
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
@@ -86,20 +103,32 @@ def _rho(n: int) -> int:
 def factor(n: int) -> dict[int, int]:
     """Prime factorisation {p: e} of 1 <= n < 2**64.
 
-    Trial division by the primes below 1000 stops once d*d > n: no prime
-    below d divides what is left, so a leftover above 1 is prime and is
-    recorded without Miller-Rabin.  So no n < 997**2 reaches is_prime64.
-    A leftover that survives every trial divisor goes to is_prime64 and rho.
+    n below 2**16 is read off _SPF, one smallest prime factor at a time.
+    Above it, trial division by the primes below 1000 runs while the
+    cofactor is at least 2**16, and hands a smaller one to the table.  It
+    stops once d*d > n: no prime below d divides what is left, so a leftover
+    above 1 is prime and is recorded without Miller-Rabin.  So no
+    n < 997**2 reaches is_prime64.  A leftover that survives every trial
+    divisor goes to is_prime64 and rho.
     """
     factors: dict[int, int] = {}
     for d in _TRIAL_DIVISORS:
+        if n < _SPF_LIMIT:
+            break
         if d * d > n:
-            if n > 1:
-                factors[n] = 1
+            factors[n] = 1
             return factors
         while n % d == 0:
             factors[d] = factors.get(d, 0) + 1
             n //= d
+    while 1 < n < _SPF_LIMIT:  # each p read here is above every prime divided out so far
+        p = _SPF[n] or n
+        n //= p
+        e = 1
+        while n % p == 0:
+            n //= p
+            e += 1
+        factors[p] = e
     pending = [n] if n > 1 else []
     while pending:
         m = pending.pop()

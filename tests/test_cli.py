@@ -106,6 +106,21 @@ def test_range_commands_over_their_caps_fail_up_front(capsys, monkeypatch, tmp_p
     assert not out_dir.exists()
 
 
+def test_scan_over_the_time_cap_fails_up_front(capsys, tmp_path):
+    # 2**22 odd q just below 2**64 lie under the q and bytes caps, and would
+    # take hours: exit 3, empty stdout, one error line, no --out-dir made.
+    out_dir = tmp_path / "out"
+    lo, hi = 2**64 - 2**23 + 1, 2**64 - 1
+    for args in ((lo, hi), (hi, lo)):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "scan", *args, "--out-dir", out_dir)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, "")
+        assert err == (f"error: the scan {args[0]}..{args[1]} takes about 14261 s of order work, "
+                       f"over the cap of 600 s\n")
+    assert not out_dir.exists()
+
+
 def test_split_prints_what_the_stream_prints(capsys):
     q, n = 2877926213, 143439572
     _, out, _ = run_cli(capsys, "period", q)

@@ -12,6 +12,7 @@ from mersenne_doubling import (
     PeriodRecord,
     classify,
     find_divisor_of_mersenne,
+    period_naive,
     period_of,
     scan_range,
     segment_of,
@@ -275,6 +276,117 @@ def test_write_report_new_file_mode(tmp_path):
     assert stat.S_IMODE((tmp_path / "plain").stat().st_mode) == 0o640
     for path in paths.values():
         assert stat.S_IMODE(path.stat().st_mode) == 0o640, path.name
+
+
+def test_write_report_survives_short_writes(monkeypatch, tmp_path):
+    # os.write may write fewer bytes than it is given; the rest is written
+    # again until the stream file holds every row.
+    report = scan_range(5, 999)
+    whole = write_report(report, tmp_path / "whole")
+    calls = []
+    real_write = os.write
+
+    def short_write(fd, data):
+        calls.append(fd)
+        return real_write(fd, bytes(data[:5]))
+
+    monkeypatch.setattr(detector.os, "write", short_write)
+    short = write_report(report, tmp_path / "short")
+    monkeypatch.undo()
+    assert len(calls) > len(STREAM_FILES)
+    for tag in STREAM_FILES:
+        assert short[tag].read_bytes() == whole[tag].read_bytes(), tag
+
+
+def test_write_report_closes_the_file_when_a_write_fails(monkeypatch, tmp_path):
+    # The large-prime file of 5..99 is empty and written with no call; the
+    # next one's write fails, and both descriptors are closed.
+    report = scan_range(5, 99)
+    opened, closed, written = [], [], []
+    real_open, real_close = os.open, os.close
+
+    def failing_write(fd, data):
+        written.append(fd)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(detector.os, "open", lambda *args: opened.append(real_open(*args)) or opened[-1])
+    monkeypatch.setattr(detector.os, "close", lambda fd: closed.append(fd) or real_close(fd))
+    monkeypatch.setattr(detector.os, "write", failing_write)
+    with pytest.raises(OSError, match="No space left"):
+        write_report(report, tmp_path)
+    monkeypatch.undo()
+    assert not report.large_prime and written == opened[1:] and closed == opened
+
+
+def test_scan_across_the_table_edge(inline_pool, tmp_path):
+    # 65501..65601 crosses 2**16, where factor and is_prime64 leave the
+    # smallest-prime-factor table for trial division.  The files are the
+    # same up and down, in process and through the pool, and every period
+    # is the stepping loop's.
+    files = {}
+    for name, lo, hi, workers in (("up", 65501, 65601, 1), ("down", 65601, 65501, 1),
+                                  ("pool", 65501, 65601, 2), ("pool-down", 65601, 65501, 2)):
+        report = scan_range(lo, hi, workers=workers)
+        paths = write_report(report, tmp_path / name)
+        files[name] = {tag: paths[tag].read_bytes() for tag in STREAM_FILES}
+    assert inline_pool == [2, 2]
+    assert all(streams == files["up"] for streams in files.values())
+    periods = {}
+    for tag in STREAM_FILES:
+        for line in files["up"][tag].decode().splitlines():
+            segment, q, period = map(int, line.split("\t"))
+            assert segment == segment_of(q)
+            periods[q] = period
+    assert sorted(periods) == list(range(65501, 65602, 2))
+    for q, period in periods.items():
+        assert period == period_naive(q).period, q
+
+
+def _scan_seconds_per_q(q_lo, q_hi):
+    """The time cap's estimate summed one q at a time."""
+    def us(q):
+        return next(us for bits, us in detector._SCAN_US_PER_Q if q.bit_length() <= bits)
+
+    return sum(us(q) for q in range(q_lo, q_hi + 1, 2)) * 1e-6
+
+
+def test_scan_seconds_sum_the_bands():
+    bands = [bits for bits, _ in detector._SCAN_US_PER_Q]
+    assert bands == sorted(bands) and bands[-1] == 64
+    for lo, hi in ((5, 5), (5, 99), (65501, 65601), (2**24 - 101, 2**24 + 101),
+                   (2**40 - 11, 2**40 + 11), (2**64 - 127, 2**64 - 1)):
+        assert detector._scan_seconds(lo, hi) == pytest.approx(_scan_seconds_per_q(lo, hi)), (lo, hi)
+
+
+def test_scan_time_cap_from_both_sides(monkeypatch):
+    # At a cap equal to the estimate of 65501..65601, it scans either way;
+    # one q more, priced at the 17-bit rate, is refused before any period.
+    def no_order(q):
+        raise AssertionError("a period was computed before the time cap was checked")
+
+    cap = detector._scan_seconds(65501, 65601)
+    monkeypatch.setattr(detector, "_MAX_SCAN_S", cap)
+    for lo, hi in ((65501, 65601), (65601, 65501)):
+        assert sum(scan_range(lo, hi).counts().values()) == 51
+    monkeypatch.setattr(detector, "_order", no_order)
+    for lo, hi in ((65501, 65603), (65603, 65501)):
+        with pytest.raises(CapacityError, match=rf"the scan {lo}\.\.{hi} takes about 0 s of order work, "
+                                                rf"over the cap of {cap} s$"):
+            scan_range(lo, hi)
+
+
+def test_scan_time_cap_admits_the_documented_windows(monkeypatch):
+    # The README's 5..99 and windows of 64 odd q at 2**16 and at 2**64 - 2**21
+    # scan under the real cap; 2**22 odd q just below 2**64, under the q and
+    # bytes caps, are refused by this one, at once.
+    for lo in (5, 2**16 - 63, 2**64 - 2**21 + 1):
+        hi = 99 if lo == 5 else lo + 126
+        assert sum(scan_range(lo, hi).counts().values()) == (hi - lo) // 2 + 1
+    monkeypatch.setattr(detector, "_order", lambda q: pytest.fail("a period was computed"))
+    lo = 2**64 - 2**23 + 1
+    assert len(range(lo, 2**64, 2)) == detector._MAX_SCAN_QS
+    with pytest.raises(CapacityError, match=r"takes about 14261 s of order work, over the cap of 600 s$"):
+        scan_range(lo, 2**64 - 1)
 
 
 def test_find_divisor_examples():

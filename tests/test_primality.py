@@ -170,3 +170,50 @@ def test_factor_below_997_squared_runs_no_miller_rabin(monkeypatch):
     assert tested == []
     assert factor(1009**2) == {1009: 2}
     assert tested == [1009**2, 1009, 1009]
+
+
+# --- the smallest-prime-factor table below 2**16 -----------------------------
+
+# The table's edge: the largest prime below 2**16, 3*5*17*257, 2**16, the
+# prime 2**16 + 1, the product of the two primes around 256, 255**2 and
+# 3*(2**16 + 1), whose cofactor 65537 lies just above the table.
+_TABLE_EDGE = {
+    65521: {65521: 1},
+    65535: {3: 1, 5: 1, 17: 1, 257: 1},
+    65536: {2: 16},
+    65537: {65537: 1},
+    251 * 257: {251: 1, 257: 1},
+    255**2: {3: 2, 5: 2, 17: 2},
+    3 * 65537: {3: 1, 65537: 1},
+}
+
+
+def test_spf_table_matches_sieve_oracle():
+    spf = oracles.smallest_prime_factors(2**16).tolist()
+    assert len(primality._SPF) == 2**16
+    assert primality._SPF[0] == primality._SPF[1] == 0
+    assert [p or n for n, p in enumerate(primality._SPF)][2:] == spf[2:2**16]
+
+
+def test_factor_and_is_prime64_at_the_table_edge():
+    spf = oracles.smallest_prime_factors(4 * 2**16).tolist()
+    for n, primes in _TABLE_EDGE.items():
+        assert factor(n) == primes == oracles.factor_by_sieve(n, spf), n
+        assert is_prime64(n) == (primes == {n: 1}) == oracles.trial_division_is_prime(n), n
+
+
+def test_factor_below_2_16_reads_only_the_table(monkeypatch):
+    # With no trial divisor and no prime test, every n < 2**16 still factors
+    # exactly: the table alone answers.  Above it, division stops once the
+    # cofactor is below 2**16: 2 * 65521 is divided by 2, 3 finds 65521
+    # below the table's edge, and the table reads 65521.
+    spf = oracles.smallest_prime_factors(2**16).tolist()
+    divisors = primality._TRIAL_DIVISORS
+    monkeypatch.setattr(primality, "_TRIAL_DIVISORS", ())
+    monkeypatch.setattr(primality, "is_prime64", lambda n: pytest.fail(f"{n} was tested"))
+    for n in range(1, 2**16):
+        assert factor(n) == oracles.factor_by_sieve(n, spf), n
+    tried = []
+    monkeypatch.setattr(primality, "_TRIAL_DIVISORS", map(lambda d: tried.append(d) or d, divisors))
+    assert factor(2 * 65521) == {2: 1, 65521: 1}
+    assert tried == [2, 3]
