@@ -231,10 +231,14 @@ _MAX_KAPPA_DOUBLINGS = 1 << 32
 def cmd_bench_kappa(args: argparse.Namespace) -> int:
     qs = _parse_int_list(args.qs)
     kappas = _parse_kappa_range(args.kappas)
+    if not kappas:
+        raise ValueError(f"expected at least one kappa, got {args.kappas!r}")
     for kappa in kappas:
         _check_kappa(kappa)
-    for q in qs:  # every q that a row will step, before the first row runs
-        if q % 2 and max(5, 1 << min(kappas)) <= q <= U64_MAX and (n := _order(q)) > _MAX_KAPPA_DOUBLINGS:
+    for q in qs:  # every q, and the period of each that a row will step, before the first row runs
+        if q % 2 == 0 or q > U64_MAX:
+            raise ValueError(f"modulus must be odd and below 2**64, got {q}")
+        if q >= max(5, 1 << min(kappas)) and (n := _order(q)) > _MAX_KAPPA_DOUBLINGS:
             raise CapacityError(f"the period of 1/{q} is n = {n}, and stepping it exceeds "
                                 f"the cap of {_MAX_KAPPA_DOUBLINGS} doublings")
     for kappa in kappas:

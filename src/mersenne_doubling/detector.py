@@ -13,7 +13,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from time import perf_counter
 from typing import Optional
 
 from .dynamics import U64_MAX, _check_modulus, _check_workers, _order, floor_log2
@@ -32,12 +31,10 @@ DEFAULT_L_MAX = 1_000_000
 # 10**6), so a search at the cap takes about 5 minutes.
 _MAX_L_MAX = 100_000_000
 
-# Most odd q one scan takes, and most bytes its records may hold: every
-# record stays in memory until the write, about 239 bytes a record
-# (tracemalloc, 100 000 records).  A scan at the q cap holds about 1.0 GB.
+# Most odd q one scan takes: every record stays in memory until the write,
+# about 239 bytes a record (tracemalloc, 100 000 records), so a scan at the
+# cap holds about 1.0 GB.
 _MAX_SCAN_QS = 1 << 22
-_SCAN_RECORD_BYTES = 239
-_MAX_SCAN_BYTES = 1 << 30
 
 # Most seconds of order work one scan may take, at the upper cost a q of
 # _SCAN_US_PER_Q.  Each band (last bit length, us a q) costs its q at the
@@ -50,16 +47,15 @@ _MAX_SCAN_BYTES = 1 << 30
 _SCAN_US_PER_Q = ((16, 12), (24, 130), (32, 130), (40, 300), (48, 480), (56, 1200), (64, 3400))
 _MAX_SCAN_S = 600
 
-# In-process time after which a scan with workers > 1 hands its remaining q
-# to a process pool: about what starting the pool costs.  The cost of a q
-# varies about 1000x with q, so a count of q would not do.  Medians on two
-# shared vCPUs, in process / workers=2 pool from the first q / this rule:
-# 5..99 0.1-0.3 / 8.3-9.0 / 0.1-0.3 ms, 4k q near 2**16 22-25 / 33-40 /
-# 42-43 ms, 16 q just below 2**64 38-61 / 43-49 / 50-54 ms, 64 q just
-# below 2**64 135-140 / 93-108 / 96-128 ms.  At a budget of 25 ms the rule
-# took 26-28 ms on the 4k row, but 51-53 and 118-146 ms on the rows below
-# 2**64, where the host's spread is as wide as the difference.
-_POOL_START_S = 0.01
+# Least _scan_seconds price at which a scan with workers > 1 starts a process
+# pool from its first q; a cheaper range runs in process.  A workers=2 pool
+# takes 7-12 ms to start, and the price runs about 1-8x the in-process time.
+# Medians of 7 calls on two shared vCPUs, 4 runs, price / in process /
+# workers=2 pool from the first q, in ms: 16 q just below 2**64 54 / 37-42 /
+# 43-46, 192 q at 2**39 58 / 24-36 / 23-30, 128 q at 2**47 61 / 29-47 /
+# 30-39.  55 ms lies between the dearest range measured faster in process
+# and the cheapest measured faster in a pool.
+_POOL_MIN_S = 0.055
 
 STREAM_LARGE_PRIME = "large-prime"
 STREAM_SMALL_PRIME = "small-prime"
@@ -147,13 +143,12 @@ def _scan_seconds(q_lo: int, q_hi: int) -> float:
     return seconds
 
 
-def _scan_qs(q_lo: int, q_hi: int, workers: int) -> range:
-    """The odd q from q_lo to q_hi (inclusive) in scan order, once the scan's inputs are checked.
+def _scan_qs(q_lo: int, q_hi: int, workers: int) -> tuple[range, float]:
+    """The odd q from q_lo to q_hi (inclusive) in scan order, and their _scan_seconds price.
 
     Fewer than one worker or a bad endpoint is a ValueError; more than
-    _MAX_SCAN_QS q, records of more than _MAX_SCAN_BYTES at
-    _SCAN_RECORD_BYTES each, or order work estimated over _MAX_SCAN_S
-    seconds is a CapacityError.  Nothing is computed.
+    _MAX_SCAN_QS q, or order work priced over _MAX_SCAN_S seconds, is a
+    CapacityError.  Nothing is computed.
     """
     _check_workers(workers)
     for endpoint in (q_lo, q_hi):
@@ -162,14 +157,11 @@ def _scan_qs(q_lo: int, q_hi: int, workers: int) -> range:
     if len(qs) > _MAX_SCAN_QS:
         raise CapacityError(f"the scan {q_lo}..{q_hi} takes {len(qs)} odd q, "
                             f"over the cap of {_MAX_SCAN_QS}")
-    if len(qs) * _SCAN_RECORD_BYTES > _MAX_SCAN_BYTES:
-        raise CapacityError(f"the scan {q_lo}..{q_hi} holds about {len(qs) * _SCAN_RECORD_BYTES} bytes "
-                            f"of records, over the cap of {_MAX_SCAN_BYTES}")
     seconds = _scan_seconds(min(q_lo, q_hi), max(q_lo, q_hi))
     if seconds > _MAX_SCAN_S:
         raise CapacityError(f"the scan {q_lo}..{q_hi} takes about {seconds:.0f} s of order work, "
                             f"over the cap of {_MAX_SCAN_S} s")
-    return qs
+    return qs, seconds
 
 
 def scan_range(q_lo: int, q_hi: int, table: Optional[PrimeTable] = None,
@@ -178,32 +170,23 @@ def scan_range(q_lo: int, q_hi: int, table: Optional[PrimeTable] = None,
 
     Each period is the order of 2 mod q alone; table is never read.  A first
     endpoint above the second scans downwards; the record set is the same
-    either way.  With more than one worker, the q are taken in scan order in
-    process until that has taken _POOL_START_S, and only the q left then go
-    to a pool of at most one worker process per core and per q, in
-    contiguous chunks.  The final sort makes the output deterministic
-    whatever the split.  report.workers is the pool's size, or 1.  The
-    inputs are checked by _scan_qs before any work.
+    either way.  With more than one worker, a range whose _scan_seconds price
+    reaches _POOL_MIN_S goes from its first q to a pool of at most one worker
+    process per core and per q, in contiguous chunks; any other range runs
+    in process.  The final sort makes the output deterministic whatever the
+    chunks.  report.workers is the pool's size, or 1.  The inputs are checked
+    by _scan_qs before any work.
     """
-    qs = _scan_qs(q_lo, q_hi, workers)
+    qs, seconds = _scan_qs(q_lo, q_hi, workers)
     direction = "down" if q_lo > q_hi else "up"
-    workers = min(workers, os.cpu_count() or 1)
-    pairs: list[tuple[int, int]] = []
+    workers = min(workers, os.cpu_count() or 1, len(qs)) if seconds >= _POOL_MIN_S else 1
     if workers > 1:
-        stop = perf_counter() + _POOL_START_S
-        for q in qs:
-            if perf_counter() >= stop:
-                break
-            pairs.append((q, _order(q)))
-    rest = qs[len(pairs):]
-    workers = max(1, min(workers, len(rest)))
-    if workers > 1:
-        size = -(-len(rest) // (workers * 4))
+        size = -(-len(qs) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(_scan_chunk, [rest[i:i + size] for i in range(0, len(rest), size)])
-            pairs += [pair for part in parts for pair in part]
+            parts = pool.map(_scan_chunk, [qs[i:i + size] for i in range(0, len(qs), size)])
+            pairs = [pair for part in parts for pair in part]
     else:
-        pairs += _scan_chunk(rest)
+        pairs = _scan_chunk(qs)
 
     report = ScanReport(q_lo, q_hi, direction, large_threshold, workers=workers)
     for q, period in pairs:
@@ -254,13 +237,16 @@ def find_divisor_of_mersenne(n: int, l_max: int = DEFAULT_L_MAX) -> Optional[tup
     are tested.  Since n is prime, q divides M(n) exactly when 2**n = 1
     (mod q), which is also the sole way the period of 1/q can be n or less
     without being 1.  Returns None when l_max (or the 64-bit candidate
-    limit) is exhausted; M(n) may still be composite.  l_max over _MAX_L_MAX
-    raises CapacityError before any candidate is tried.
+    limit) is exhausted; M(n) may still be composite.  l_max below 1 raises
+    ValueError, and l_max over _MAX_L_MAX CapacityError, before any
+    candidate is tried.
     """
     if n < 3:
         raise ValueError(f"divisor search needs n >= 3, got {n}")
     if n > U64_MAX:
         raise CapacityError(f"divisor search needs n < 2**64, got {n}")
+    if l_max < 1:
+        raise ValueError(f"divisor search needs l_max >= 1, got {l_max}")
     if l_max > _MAX_L_MAX:
         raise CapacityError(f"divisor search of l_max = {l_max} candidates exceeds the cap of {_MAX_L_MAX}")
     if not is_prime64(n):

@@ -680,14 +680,7 @@ def _split_of(q: int, n: int, histogram: bool, factors: dict[int, int]) -> tuple
     """
     if len(factors) < 2:
         return ()
-    primes = factor(n)
-    parts = []
-    for p, e in factors.items():  # the order mod each prime power divides n: divide out n's primes
-        m, order = p**e, n
-        for r in primes:
-            while order % r == 0 and pow(2, order // r, m) == 1:
-                order //= r
-        parts.append((m, order))
+    parts = [(p**e, _order(p**e, {p: e})) for p, e in factors.items()]
     best, best_ns = (), n * _stream_ns(q, n, histogram)
     call_ns, long_ns, short_ns, search_ns = _SPLIT_NS
     for mask in range(1, 1 << (len(parts) - 1)):  # the last part stays on side b

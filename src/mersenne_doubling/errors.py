@@ -1,2 +1,2 @@
 class CapacityError(ValueError):
-    """Input exceeds what the current configuration can decide (use a larger bound)."""
+    """Input beyond a fixed cap on work, memory or 64-bit range, or beyond is_prime's table (use a larger bound)."""

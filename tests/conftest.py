@@ -14,9 +14,9 @@ def prime_table():
 def inline_pool(monkeypatch):
     """Process pools in detector and census map in-process, on a host of 3 cores.
 
-    A scan with workers > 1 asks for its pool at once: its in-process time
-    budget, detector._POOL_START_S, is 0.  Yields the list of pool sizes
-    asked for; no process is ever started.
+    A scan of more than one q with workers > 1 asks for its pool from its
+    first q: the least price that starts one, detector._POOL_MIN_S, is 0.
+    Yields the list of pool sizes asked for; no process is ever started.
     """
     sizes = []
 
@@ -34,7 +34,7 @@ def inline_pool(monkeypatch):
             return list(map(fn, *iterables))
 
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(detector, "_POOL_START_S", 0)
+    monkeypatch.setattr(detector, "_POOL_MIN_S", 0)
     for module in (detector, census):
         monkeypatch.setattr(module, "ProcessPoolExecutor", InlinePool)
     yield sizes

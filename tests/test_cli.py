@@ -107,7 +107,7 @@ def test_range_commands_over_their_caps_fail_up_front(capsys, monkeypatch, tmp_p
 
 
 def test_scan_over_the_time_cap_fails_up_front(capsys, tmp_path):
-    # 2**22 odd q just below 2**64 lie under the q and bytes caps, and would
+    # 2**22 odd q just below 2**64 lie under the q cap, and would
     # take hours: exit 3, empty stdout, one error line, no --out-dir made.
     out_dir = tmp_path / "out"
     lo, hi = 2**64 - 2**23 + 1, 2**64 - 1
@@ -190,6 +190,11 @@ def test_find_divisor_output(capsys):
     code, out, _ = run_cli(capsys, "find-divisor", 13, "--l-max", 100)
     assert code == 0
     assert out == "none found\n"
+
+    assert run_cli(capsys, "find-divisor", 11, "--l-max", 1)[1].startswith("n=11 q=23 l=1 ")
+    for l_max in (0, -3):
+        assert run_cli(capsys, "find-divisor", 11, "--l-max", l_max) == (
+            2, "", f"error: divisor search needs l_max >= 1, got {l_max}\n")
 
     assert run_cli(capsys, "find-divisor", 12)[0] == 2
 
@@ -376,6 +381,14 @@ def test_bench_kappa_usage_errors(capsys):
     assert run_cli(capsys, "bench-kappa", "--qs", "13", "--kappas", "65")[0] == 2
     assert run_cli(capsys, "bench-kappa", "--qs", "13", "--kappas", "x..y")[0] == 2
     assert run_cli(capsys, "bench-kappa", "--qs", "a,b", "--kappas", "1..2")[0] == 2
+    # q = 13 would print its row first: an even q, a q of 2**64 or more and
+    # an empty kappa list are refused before it, with empty stdout.
+    for qs, kappas, message in (
+            ("13,14", "1", "modulus must be odd and below 2**64, got 14"),
+            ("13,4", "4", "modulus must be odd and below 2**64, got 4"),
+            (f"13,{2**64 + 1}", "1", f"modulus must be odd and below 2**64, got {2**64 + 1}"),
+            ("13", "", "expected at least one kappa, got ''")):
+        assert run_cli(capsys, "bench-kappa", "--qs", qs, "--kappas", kappas) == (2, "", f"error: {message}\n")
 
 
 def test_env_variables_supply_defaults(capsys, monkeypatch):
@@ -489,7 +502,7 @@ def test_env_change_read_on_next_call(capsys, monkeypatch):
     monkeypatch.setenv("MDBL_TSV", "0")
     assert run_cli(capsys, "is-prime", 7)[1] == "n=7 verdict=prime\n"
     monkeypatch.setenv("MDBL_L_MAX", "0")
-    assert run_cli(capsys, "find-divisor", 11)[1] == "none found\n"
+    assert run_cli(capsys, "find-divisor", 11) == (2, "", "error: divisor search needs l_max >= 1, got 0\n")
     monkeypatch.delenv("MDBL_L_MAX")
     assert run_cli(capsys, "find-divisor", 11)[1].startswith("n=11 q=23 l=1 ")
 

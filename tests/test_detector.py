@@ -1,5 +1,4 @@
 import importlib
-import itertools
 import os
 import stat
 from pathlib import Path
@@ -144,7 +143,7 @@ def test_scan_single_point():
 
 
 def test_scan_workers_deterministic(monkeypatch):
-    monkeypatch.setattr(detector, "_POOL_START_S", 0)  # every q goes to the pool
+    monkeypatch.setattr(detector, "_POOL_MIN_S", 0)  # every q goes to the pool
     sequential = scan_range(5, 399, workers=1)
     for parallel in (scan_range(5, 399, workers=2),
                      scan_range(399, 5, workers=2)):
@@ -163,21 +162,23 @@ def test_scan_pool_takes_at_most_one_worker_per_core(inline_pool):
     assert inline_pool == [3]
 
 
-def test_scan_pool_only_after_the_in_process_budget(inline_pool, monkeypatch):
-    monkeypatch.setattr(detector, "_POOL_START_S", 3600)
+def test_scan_pool_only_from_the_price_threshold(inline_pool, monkeypatch):
+    # With the threshold between the prices of 5..99 and 5..399, the first
+    # scans in process and the second asks for its pool from the first q.
+    low, high = detector._scan_seconds(5, 99), detector._scan_seconds(5, 399)
+    assert low < high
+    monkeypatch.setattr(detector, "_POOL_MIN_S", (low + high) / 2)
     report = scan_range(5, 99, workers=10**6)
     assert inline_pool == []
     assert report.workers == 1
-    # A clock that ticks once a read: the budget of 10 ticks is spent after
-    # the ninth q, and the other 189 go to the pool.
-    monkeypatch.setattr(detector, "_POOL_START_S", 10)
-    monkeypatch.setattr(detector, "perf_counter", itertools.count().__next__)
-    split = scan_range(5, 399, workers=10**6)
+    pooled = scan_range(5, 399, workers=10**6)
     assert inline_pool == [3]
-    assert split.workers == 3
+    assert pooled.workers == 3
     sequential = scan_range(5, 399, workers=1)
     for tag in STREAM_FILES:
-        assert split.stream(tag) == sequential.stream(tag)
+        assert pooled.stream(tag) == sequential.stream(tag)
+    monkeypatch.setattr(detector, "_POOL_MIN_S", high)  # a price that reaches the threshold pools
+    assert scan_range(399, 5, workers=2).workers == 2
 
 
 def test_scan_endpoint_validation():
@@ -204,33 +205,26 @@ def test_scan_refuses_fewer_than_one_worker(monkeypatch):
 
 
 def test_scan_caps_from_both_sides(monkeypatch):
-    # 5..99 holds 48 odd q.  At a cap of 48 q, or of 48 records' bytes, it
-    # scans either way; 5..101 and 101..5 are refused before any period.
+    # 5..99 holds 48 odd q.  At a cap of 48 q it scans either way; 5..101
+    # and 101..5 are refused before any period.
     def no_order(q):
         raise AssertionError("a period was computed before the caps were checked")
 
     assert len(scan_range(5, 99).even) < 48
-    for cap, value, message in (("_MAX_SCAN_QS", 48, "takes 49 odd q, over the cap of 48"),
-                                ("_MAX_SCAN_BYTES", 48 * detector._SCAN_RECORD_BYTES,
-                                 rf"holds about {49 * detector._SCAN_RECORD_BYTES} bytes of records, "
-                                 rf"over the cap of {48 * detector._SCAN_RECORD_BYTES}")):
-        with monkeypatch.context() as patch:
-            patch.setattr(detector, cap, value)
-            for lo, hi in ((5, 99), (99, 5)):
-                assert sum(scan_range(lo, hi).counts().values()) == 48
-            patch.setattr(detector, "_order", no_order)
-            for lo, hi in ((5, 101), (101, 5)):
-                with pytest.raises(CapacityError, match=rf"the scan {lo}\.\.{hi} {message}$"):
-                    scan_range(lo, hi)
+    monkeypatch.setattr(detector, "_MAX_SCAN_QS", 48)
+    for lo, hi in ((5, 99), (99, 5)):
+        assert sum(scan_range(lo, hi).counts().values()) == 48
+    monkeypatch.setattr(detector, "_order", no_order)
+    for lo, hi in ((5, 101), (101, 5)):
+        with pytest.raises(CapacityError, match=rf"the scan {lo}\.\.{hi} takes 49 odd q, over the cap of 48$"):
+            scan_range(lo, hi)
 
 
 def test_scan_caps_admit_the_documented_scans(monkeypatch):
     # The README's 5..99, the benchmark's windows of 64 odd q and one q just
-    # below 2**64 lie under both caps; a range up to 2**64 - 59 does not, and
+    # below 2**64 lie under the q cap; a range up to 2**64 - 59 does not, and
     # fails at once.
     assert detector._MAX_SCAN_QS >= 64
-    assert 64 * detector._SCAN_RECORD_BYTES <= detector._MAX_SCAN_BYTES
-    assert detector._MAX_SCAN_QS * detector._SCAN_RECORD_BYTES <= detector._MAX_SCAN_BYTES
     monkeypatch.setattr(detector, "_order", lambda q: pytest.fail("a period was computed"))
     for lo, hi in ((5, 2**64 - 59), (2**64 - 59, 5), (5, 5 + 2 * detector._MAX_SCAN_QS)):
         with pytest.raises(CapacityError, match="over the cap of"):
@@ -395,6 +389,14 @@ def test_find_divisor_examples():
     assert find_divisor_of_mersenne(13, l_max=100) is None
     # a 13-digit prime exponent, above the 4e12 capacity of is_prime's default table
     assert find_divisor_of_mersenne(4000000000039) == (10600000000103351, 1325)
+
+
+def test_find_divisor_l_max_from_both_sides(monkeypatch):
+    assert find_divisor_of_mersenne(11, l_max=1) == (23, 1)
+    monkeypatch.setattr(detector, "is_prime64", lambda n: pytest.fail("a candidate was tried"))
+    for l_max in (0, -3):
+        with pytest.raises(ValueError, match=f"needs l_max >= 1, got {l_max}$"):
+            find_divisor_of_mersenne(11, l_max=l_max)
 
 
 def test_find_divisor_witnesses_are_sound():
