@@ -39,17 +39,20 @@ _MAX_SCAN_QS = 1 << 22
 # Most seconds of order work one scan may take, at the upper cost a q of
 # _SCAN_US_PER_Q.  Each band (last bit length, us a q) costs its q at the
 # largest mean scan_range time a q measured over windows of 64 odd q at the
-# band's last bit length: 4 runs of 9 to 30 windows on two shared vCPUs,
-# whose speed moved 1.7x from run to run.  The 130 us of 17-24 bits is one
-# slow window; the others there took at most 38 us a q.  So the 2**22 q
-# from 5 are priced at about 540 s, and about 176 000 q just below 2**64
-# reach the cap, where 2**22 of them would take about 4 h.
-_SCAN_US_PER_Q = ((16, 12), (24, 130), (32, 130), (40, 300), (48, 480), (56, 1200), (64, 3400))
+# band's last bit length, on two shared vCPUs whose speed moved up to 1.7x
+# from run to run.  The bands up to 16 bits and from 33 bits on: 4 runs of
+# 9 to 30 windows.  The 17-24 and 25-32-bit bands: 5 runs of 6 or 8 windows
+# in 2**23 .. 2**24 and 2**31 .. 2**32 (median of 5 calls a window), at most
+# 36.4 and 106.4 us a q, priced at 40 and 110; windows at 2**20 took
+# 10.5-19.0 us a q.  So the 2**22 q from 5 are priced at about 167 s, and
+# about 176 000 q just below 2**64 reach the cap, where 2**22 of them would
+# take about 4 h.
+_SCAN_US_PER_Q = ((16, 12), (24, 40), (32, 110), (40, 300), (48, 480), (56, 1200), (64, 3400))
 _MAX_SCAN_S = 600
 
 # Least _scan_seconds price at which a scan with workers > 1 starts a process
 # pool from its first q; a cheaper range runs in process.  A workers=2 pool
-# takes 7-12 ms to start, and the price runs about 1-8x the in-process time.
+# takes 7-12 ms to start, and the price runs about 1-6x the in-process time.
 # Medians of 7 calls on two shared vCPUs, 4 runs, price / in process /
 # workers=2 pool from the first q, in ms: 16 q just below 2**64 54 / 37-42 /
 # 43-46, 192 q at 2**39 58 / 24-36 / 23-30, 128 q at 2**47 61 / 29-47 /

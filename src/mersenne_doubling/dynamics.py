@@ -568,10 +568,11 @@ def _flight_counts_stream(q: int, n: int) -> np.ndarray:
 # N_0 = n,
 #     steps = n - N_1,    counts[t] = N_{t-1} - 2 N_t + N_{t+1},
 # and each N_j counts pairs (X, Y): binary searches of the n_a short-side
-# residues into the n_b long-side residues, sorted in blocks, stand for the
-# n doublings of the stream.  _plan picks the split or the stream for each
-# call; the stream stays the path of prime q, prime powers and splits whose
-# long side is most of the orbit, and the tests' oracle for the split.
+# residues into the n_b long-side residues, sorted in blocks as narrow keys
+# class * b + r (Y = a * r), stand for the n doublings of the stream.  _plan
+# picks the split or the stream for each call; the stream stays the path of
+# prime q, prime powers and splits whose long side is most of the orbit,
+# and the tests' oracle for the split.
 # ---------------------------------------------------------------------------
 
 # Shortest orbit that may be split: below it, the count streams in about a
@@ -581,17 +582,20 @@ _SPLIT_MIN_DOUBLINGS = 1 << 24
 # Most residues of a split's short side, and of its long side; the long
 # side's residues sorted together, and the short side's searched together
 # level by level.  With both sides at their caps the cost model below
-# prices a split at 2**28 * (25 + 55 + 80 * 20) ns, about 450 s: the time
-# of the slow tier's row 9a, the longest stream it runs.  Peak memory under
-# tracemalloc, in MB: the stream's count 0.82, its histogram 4.37 at k = 32
-# (q = 4291434391) and 3.12 at k = 16 (q = 8599306381); the split's 2.45
-# for the count of q = 4398046511101 (sides of 36212 and 214176 residues),
-# and, refilling one long-side block, 2.26 for the histograms of
-# 1928914067 (198 and 735665) and 4224669655 (92 and 1525151).
-# A histogram took, in ms, for long-side blocks of 2**15 / 2**16 / 2**17 /
-# 2**18 / 2**19 residues: 22.6 / 17.4 / 14.3 / 13.7 / 12.1 for 1928914067,
-# 47.0 / 30.5 / 26.7 / 26.8 / 26.0 for 4224669655.  Short-side blocks of
-# 2**11 to 2**18 residues timed within 10% of each other.
+# prices a split at about 2**28 * (10.8 + 40 + 55 * 20) ns = 309 s (uint64
+# keys; 307 s in uint32), under the 455 s of the slow tier's row 9a, the
+# longest stream it runs.  Peak memory under tracemalloc, in MB: the
+# stream's count 0.82, its histogram 4.37 at k = 32 (q = 4291434391) and
+# 2.73 at k = 16 (q = 8599306381); the split's 2.15 for the count of
+# q = 4398046511101 (sides of 36212 and 214176 residues), and, refilling
+# one long-side block of uint32 keys, 1.25-1.31 for the histograms of
+# 1928914067 (198 and 735665), 4224669655 (92 and 1525151) and
+# 4398046511101 (2231 and 869088).  A histogram took, in ms, for long-side
+# blocks of 2**15 / 2**16 / 2**17 / 2**18 / 2**19 / 2**20 residues:
+# 18.4 / 12.4 / 8.8 / 6.9 / 6.7 / 5.8 for 1928914067, 27.5 / 18.8 / 14.2 /
+# 9.9 / 9.5 / 10.4 for 4224669655, 67 / 48 / 41 / 37 / 36 / 37 for
+# 2269084019 (21 and 6733186).  Short-side blocks of 2**11 to 2**15
+# residues timed within 25% of each other.
 _SPLIT_MAX_SHORT = 1 << 18
 _SPLIT_MAX_LONG = 1 << 28
 _SPLIT_LONG_BLOCK = 1 << 18
@@ -611,22 +615,24 @@ _SPLIT_BLOCK = 1 << 13
 #   k           32     30     28     26     24     20     16
 #   count       0.065  0.069  0.074  0.080  0.086  0.103  0.129
 #   histogram   0.420  0.425  0.431  0.438  0.447  -      0.500
-# The split: a call, a long-side residue, and per long-side block a
-# short-side residue and that residue's search at each level it stays
-# live.  Fitted by least relative squares to the count and the histogram
-# of two samples of 120 and 100 random splits (a prime of 2**3 .. 2**18
-# times one of 2**12 or 2**14 .. 2**23.5, up to 30 blocks): 175e3-178e3,
-# 16.7-16.8, 37-38 and 54 ns, with measured over fitted times of 0.62-4.19
-# (counts) and 0.69-3.30 (histograms), all above 2 on splits under 3 ms.
-# The constants are the fit raised by half, so that a split picked near the
-# break-even point does not lose: over 240 in-band orbit q (99 counts and
-# 147 histograms split) and 201 splits picked for random q with
-# n = 2**24 .. 2**28, the split took at most 0.63 of the stream's time, at
-# k = 16 above 2**32.  With the wider lanes above 2**32, 9 of those counts
-# stream instead (at k = 30 and 31), and the plan splits 90 counts and 147
-# histograms of the 240.
+# The split: a call, a long-side residue (priced per uint32 key; a uint64
+# key costs twice as much, 12.4-13.1 against 6.8-7.1 ns a residue for
+# long sides of 4.7e6 to 6.2e7), and per long-side block a short-side
+# residue and that residue's search at each level it stays live.  Fitted
+# by least relative squares to the count and the histogram of two samples
+# of 120 and 100 random splits (a prime of 2**3 .. 2**18 times one of
+# 2**14 .. 2**23.5, up to 30 blocks, uint32 keys): 164e3, 5.4, 40 and
+# 55 ns, with measured over fitted times of 0.78-1.96 (counts) and
+# 0.68-2.05 (histograms), rms 0.18.  A fifth term per block and level
+# fitted to 1 us and left the rest unchanged.  The constants are the fit:
+# in the same runs the stream took 5-17% more than the prices of
+# _STREAM_NS, and over 240 in-band orbit q the plan splits 137 counts and
+# 180 histograms, each in at most 0.87-0.89 of the stream's time in two
+# runs (alternating calls, best of 3).  With a short side of a few hundred
+# residues the model splits a histogram from about n / n_b = 15 and a count
+# from about 85 (at k = 32; 42 at k = 16).
 _STREAM_NS = {"bigint": (0.8, 2.7), "lane_step": (2.07, 2.56), "lane_doubling": (0.0, 0.34)}
-_SPLIT_NS = (265e3, 25.0, 55.0, 80.0)
+_SPLIT_NS = (164e3, 5.4, 40.0, 55.0)
 
 # Most doublings any stream runs: past it, _plan raises CapacityError.  Row
 # 9a of the slow tier streams 2.2e12 doublings (455 s), row 9b 1.1e12
@@ -673,10 +679,11 @@ def _split_of(q: int, n: int, histogram: bool, factors: dict[int, int]) -> tuple
     Every split of the prime powers of q into two sides is costed with
     _SPLIT_NS, for one level (the count) or for the levels that a histogram's
     searches stay live in a long-side block (log2(block / g) + 2 of them),
-    against the stream's _STREAM_NS per doubling.  A split is left out when
+    against the stream's _STREAM_NS per doubling, a uint64 long-side key at
+    twice the price of a uint32 one (_key_dtype).  A split is left out when
     its short side holds more than _SPLIT_MAX_SHORT residues, its long side
-    more than _SPLIT_MAX_LONG, or when its int64 keys, up to g * q + q,
-    could overflow.
+    more than _SPLIT_MAX_LONG, or when its keys, up to g * b - 1, would not
+    fit uint64.
     """
     if len(factors) < 2:
         return ()
@@ -693,72 +700,126 @@ def _split_of(q: int, n: int, histogram: bool, factors: dict[int, int]) -> tuple
         if n_a > n_b:
             a, b, n_a, n_b = b, a, n_b, n_a
         g = math.gcd(n_a, n_b)
-        if n_a > _SPLIT_MAX_SHORT or n_b > _SPLIT_MAX_LONG or (g + 1) * q >= 2**63:
+        if n_a > _SPLIT_MAX_SHORT or n_b > _SPLIT_MAX_LONG or g * b >= 2**64:
             continue
         size = max(1, _SPLIT_LONG_BLOCK // g) * g
         levels = min(math.log2(min(n_b, size) / g) + 2, q.bit_length() - 1) if histogram else 1
-        ns = call_ns + long_ns * n_b + -(-n_b // size) * (short_ns + search_ns * levels) * n_a
+        long_key_ns = long_ns * np.dtype(_key_dtype(g, b)).itemsize / 4
+        ns = call_ns + long_key_ns * n_b + -(-n_b // size) * (short_ns + search_ns * levels) * n_a
         if ns < best_ns:
             best, best_ns = (a, b, n_a, n_b), ns
     return best
 
 
-def _crt_side(m: int, other: int, start: int, side: np.ndarray) -> np.ndarray:
-    """side, filled with other * (other**-1 * 2**i mod m) for start <= i < start + len(side).
+def _key_dtype(g: int, b: int) -> type[np.unsignedinteger]:
+    """Width of a split's keys class * b + r < g * b: uint32 when they fit and 2r < 2**32, else uint64."""
+    return np.uint32 if g * b < 2**32 and b < 2**31 else np.uint64
 
-    These are 2**i mod m and 0 mod other.  side is uint64; returned as int64.
+
+def _long_rows(g: int, count: int) -> int:
+    """Rows of doublings that lay out a long-side block of count residues in at most _LANES lanes.
+
+    A multiple of g when g is at most that many rows, so that each row holds
+    one class; otherwise the class varies along a row as well.
     """
-    _powers(pow(other, -1, m) * pow(2, start, m) % m, 2, m, side)
-    side *= np.uint64(other)
-    return side.view(np.int64)
+    rows = -(-count // _LANES)
+    return -(-rows // g) * g if rows >= g else rows
+
+
+def _long_keys(a: int, b: int, start: int, keys: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """keys, filled with class * b + r for the long side's beta = start + lane * rows + row.
+
+    keys is (rows, lanes), uint32 or uint64, and start a multiple of g.  r is
+    a**-1 * 2**beta mod b, so that Y[beta] = a * r and class * q + Y =
+    a * (class * b + r): the keys sort as the Y of each class do.  Row 0
+    holds the lane starts from _powers; each later row doubles the one above,
+    r = min(2r, 2r - b), where 2r - b wraps above 2r when 2r < b.  classes
+    holds class * b for each row, or for each row and lane when g does not
+    divide the rows (the class is beta mod g).
+    """
+    rows, lanes = keys.shape
+    keys[0] = _powers(pow(a, -1, b) * pow(2, start, b) % b, pow(2, rows, b), b, np.empty(lanes, dtype=np.uint64))
+    step, wrapped = keys.dtype.type(b), np.empty(lanes, dtype=keys.dtype)
+    for i in range(1, rows):
+        np.add(keys[i - 1], keys[i - 1], out=keys[i])
+        np.subtract(keys[i], step, out=wrapped)
+        np.minimum(keys[i], wrapped, out=keys[i])
+    keys += classes[:, :lanes]
+    return keys
 
 
 def _split_levels(q: int, split: tuple[int, ...], top: int) -> np.ndarray:
     """N_0 .. N_top, N_j = #{i < n : 2**i mod q <= q >> j}, from the split (a, b, n_a, n_b).
 
-    The long side's Y are taken in blocks of at most _SPLIT_LONG_BLOCK
-    residues, a multiple of g, each sorted, keyed by class * q + Y with
-    class = beta mod g: a block starts at a multiple of g, so the class is
-    the column.  For one X of class c and L = q >> j, the pairs of a block
-    with (X + Y) mod q <= L are its Y of class c with Y <= (L - X) mod q,
-    less those with Y <= q - 1 - X, plus the block's whole class when
-    X <= L: one binary search a level.  These windows shrink as j grows, so
-    an X whose window in a block holds no Y is dropped from that block's
-    later levels.  The short side is sorted by class and then X descending,
-    which puts each level's search keys in two ascending runs a class and
-    keeps the searches in cache: 2-3 times faster than keys in random order.
+    The long side's Y = a * r are taken in blocks of at most
+    _SPLIT_LONG_BLOCK residues, a multiple of g, each sorted as the keys
+    class * b + r of _long_keys, class = beta mod g, at the width of
+    _key_dtype.  A block is laid out in _long_rows rows of doublings; a
+    last lane that ends part way down is padded with the dtype's maximum,
+    which sorts past the block.  For one X of class c and L = q >> j, the
+    pairs of a block with (X + Y) mod q <= L are its Y of class c with
+    Y <= (L - X) mod q, less those with Y <= q - 1 - X, plus the block's
+    whole class when X <= L: one binary search a level.  A bound Y <= T is
+    r <= floor(T / a), the key c * b + floor(T / a): with X = a * qx + rx
+    and L = a * qL + rL, floor((L - X) / a) = qL - qx - (rx > rL), plus b
+    when X > L, and floor((q - 1 - X) / a) = b - 1 - qx, so qx and rx are
+    taken once and no division runs per level.  The keys are worked in the
+    dtype's wrapping arithmetic, exact since each lies in 0 .. g * b - 1.
+    These windows shrink as j grows, so an X whose window in a block holds
+    no Y is dropped from that block's later levels; once few X are live, one
+    search takes several levels at once, up to _SPLIT_BLOCK keys.  The short
+    side is sorted by class and then X descending, which puts each level's
+    search keys in two ascending runs a class and keeps the searches in
+    cache: 2-3 times faster than keys in random order.
     """
     a, b, n_a, n_b = split
     g = math.gcd(n_a, n_b)
-    classes = np.arange(0, g * q, q, dtype=np.int64)  # class * q; g divides n_a and n_b
-    z = _crt_side(a, b, 0, np.empty(n_a, dtype=np.uint64))
-    np.negative(z, out=z)
-    z.reshape(-1, g)[:] += classes  # class * q - X
-    z.sort()
-    x = (z // q + 1) * q - z
+    dtype = np.dtype(_key_dtype(g, b))
+    key = dtype.type
+    # The short side: X[alpha] has class alpha mod g, the column of a row of g.
+    x = _powers(pow(b, -1, a), 2, a, np.empty(n_a, dtype=np.uint64)).view(np.int64)
+    x *= b
+    x = np.sort(x.reshape(-1, g).T)[:, ::-1].ravel()
+    qx, rx = np.divmod(x, a)
+    # (c + 1) * b - qx: the key of a bound L - X + q, less qL and the borrow.
+    outside = (np.repeat(np.arange(1, g + 1, dtype=np.int64) * b, n_a // g) - qx).astype(dtype)
+    bound = (np.int64(q) >> np.arange(top + 1))[:, None]  # L = q >> j, a column
+    q_l, r_l = np.divmod(bound, a)
+    q_l = q_l.astype(dtype)
     levels = np.zeros(top + 1, dtype=np.int64)
     levels[0] = n_a * n_b // g
     size = max(1, _SPLIT_LONG_BLOCK // g) * g
-    block = np.empty(min(size, n_b), dtype=np.uint64)  # refilled for each block
+    rows = _long_rows(g, min(size, n_b))
+    lanes = -(-min(size, n_b) // rows)
+    classes = ((np.arange(rows)[:, None] + rows * np.arange(lanes if rows % g else 1)) % g * b).astype(dtype)
+    block = np.empty(rows * lanes, dtype=dtype)  # refilled for each block
     for start in range(0, n_b, size):
-        keys = _crt_side(b, a, start, block[:n_b - start])
-        keys.reshape(-1, g)[:] += classes
+        count = min(size, n_b - start)
+        used = -(-count // rows)
+        keys = block[:rows * used]
+        _long_keys(a, b, start, keys.reshape(rows, used), classes)
+        keys.reshape(rows, used)[count - (used - 1) * rows:, -1] = np.iinfo(dtype).max  # past the block
         keys.sort()
-        per_class = len(keys) // g
+        keys = keys[:count]
+        per_class = count // g
         for first in range(0, n_a, _SPLIT_BLOCK):
-            zs, xs = z[first:first + _SPLIT_BLOCK], x[first:first + _SPLIT_BLOCK]
-            lo = np.searchsorted(keys, zs + (q - 1), "right")
-            for j in range(1, top + 1):
-                inside = xs <= q >> j
-                window = np.searchsorted(keys, zs + np.where(inside, q >> j, (q >> j) + q), "right")
+            outs, xs, rs = (v[first:first + _SPLIT_BLOCK] for v in (outside, x, rx))
+            lo = np.searchsorted(keys, outs - key(1), "right")  # c * b + b - 1 - qx
+            j = 1
+            while j <= top and len(outs):
+                stop = min(j + max(1, _SPLIT_BLOCK // len(outs)), top + 1)
+                inside = xs <= bound[j:stop]
+                window = outs + q_l[j:stop]
+                window -= inside * key(b)
+                window -= rs > r_l[j:stop]
+                window = np.searchsorted(keys, window, "right")
                 window -= lo
                 window += per_class * inside
-                levels[j] += window.sum()
-                live = window > 0
+                levels[j:stop] += window.sum(axis=1)
+                live = window[-1] > 0
                 if not live.all():
-                    zs, xs, lo = zs[live], xs[live], lo[live]
-                    if not len(zs):
-                        break
+                    outs, xs, rs, lo = outs[live], xs[live], rs[live], lo[live]
+                j = stop
     return levels
 
 

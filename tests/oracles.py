@@ -89,6 +89,15 @@ def flying_times_exact(q: int) -> list[int]:
             return times
 
 
+def split_levels(q: int, top: int) -> list[int]:
+    """N_0 .. N_top, N_j = #{i < n : 2**i mod q <= q >> j}, by enumerating the n <= 2**16 powers of 2 mod q."""
+    powers = [1]
+    while (x := powers[-1] * 2 % q) != 1:
+        powers.append(x)
+        assert len(powers) <= 1 << 16, f"the order of 2 mod {q} is above 2**16"
+    return [sum(x <= q >> j for x in powers) for j in range(top + 1)]
+
+
 def trial_division_is_prime(n: int) -> bool:
     if n < 2:
         return False

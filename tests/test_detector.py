@@ -347,26 +347,29 @@ def _scan_seconds_per_q(q_lo, q_hi):
 def test_scan_seconds_sum_the_bands():
     bands = [bits for bits, _ in detector._SCAN_US_PER_Q]
     assert bands == sorted(bands) and bands[-1] == 64
-    for lo, hi in ((5, 5), (5, 99), (65501, 65601), (2**24 - 101, 2**24 + 101),
-                   (2**40 - 11, 2**40 + 11), (2**64 - 127, 2**64 - 1)):
+    for lo, hi in ((5, 5), (5, 99), (65501, 65601), (2**20 - 101, 2**20 + 101), (2**24 - 101, 2**24 + 101),
+                   (2**32 - 101, 2**32 + 101), (2**40 - 11, 2**40 + 11), (2**64 - 127, 2**64 - 1)):
         assert detector._scan_seconds(lo, hi) == pytest.approx(_scan_seconds_per_q(lo, hi)), (lo, hi)
 
 
 def test_scan_time_cap_from_both_sides(monkeypatch):
-    # At a cap equal to the estimate of 65501..65601, it scans either way;
-    # one q more, priced at the 17-bit rate, is refused before any period.
+    # At a cap equal to the estimate of 65501..65601, or of 51 q at 2**20, it
+    # scans either way; one q more, priced at the 17-24-bit rate, is refused
+    # before any period.
     def no_order(q):
         raise AssertionError("a period was computed before the time cap was checked")
 
-    cap = detector._scan_seconds(65501, 65601)
-    monkeypatch.setattr(detector, "_MAX_SCAN_S", cap)
-    for lo, hi in ((65501, 65601), (65601, 65501)):
-        assert sum(scan_range(lo, hi).counts().values()) == 51
-    monkeypatch.setattr(detector, "_order", no_order)
-    for lo, hi in ((65501, 65603), (65603, 65501)):
-        with pytest.raises(CapacityError, match=rf"the scan {lo}\.\.{hi} takes about 0 s of order work, "
-                                                rf"over the cap of {cap} s$"):
-            scan_range(lo, hi)
+    for first, last in ((65501, 65601), (2**20 - 49, 2**20 + 51)):
+        cap = detector._scan_seconds(first, last)
+        with monkeypatch.context() as patch:
+            patch.setattr(detector, "_MAX_SCAN_S", cap)
+            for lo, hi in ((first, last), (last, first)):
+                assert sum(scan_range(lo, hi).counts().values()) == 51
+            patch.setattr(detector, "_order", no_order)
+            for lo, hi in ((first, last + 2), (last + 2, first)):
+                with pytest.raises(CapacityError, match=rf"the scan {lo}\.\.{hi} takes about 0 s of order work, "
+                                                        rf"over the cap of {cap} s$"):
+                    scan_range(lo, hi)
 
 
 def test_scan_time_cap_admits_the_documented_windows(monkeypatch):

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from mersenne_doubling import dynamics
@@ -683,18 +683,31 @@ def _coprime_splits(q):
         yield a, q // a, _order(a), _order(q // a)
 
 
-def _assert_split_matches_stream(q, splits):
+def _set_layout(patch, layout):
+    """Set _SPLIT_BLOCK, _SPLIT_LONG_BLOCK and _LANES to the values of layout, in order; a shorter layout sets fewer."""
+    for name, value in zip(("_SPLIT_BLOCK", "_SPLIT_LONG_BLOCK", "_LANES"), layout):
+        patch.setattr(dynamics, name, value)
+
+
+def _assert_split_matches_stream(monkeypatch, q, splits, layouts=((),)):
+    """Each split of q against the stream, under each layout of _set_layout."""
     n = _order(q)
     steps, flights = _count_reductions(q, n), _flight_counts_stream(q, n)
-    for split in splits:
-        assert n - _split_levels(q, split, 1)[1] == steps, (q, split)
-        assert np.array_equal(_flight_counts_split(q, split), flights), (q, split)
+    for layout in layouts:
+        with monkeypatch.context() as patch:
+            _set_layout(patch, layout)
+            for split in splits:
+                assert n - _split_levels(q, split, 1)[1] == steps, (q, split, layout)
+                assert np.array_equal(_flight_counts_split(q, split), flights), (q, split, layout)
 
 
 def test_split_matches_stream_on_every_coprime_split(monkeypatch):
     # Both orders of every split, the short side first and last; then again
     # with the short side searched in blocks of 7 and the long side sorted in
-    # blocks of 4 residues (of g when g > 4), so that blocks join on both.
+    # blocks of 4 residues (of g when g > 4), so that blocks join on both;
+    # and then with those blocks laid out in lanes of 3, so that the long
+    # side's keys come from doubling rows, some lanes end part way down and
+    # some rows hold more than one class.
     qs = [q for q in range(9, 3001, 2) if len(factor(q)) > 1]
     splits = {q: list(_coprime_splits(q)) for q in qs}
     assert len(qs) == 1044 and sum(map(len, splits.values())) == 3208
@@ -702,11 +715,72 @@ def test_split_matches_stream_on_every_coprime_split(monkeypatch):
     sides = [n_b for s in splits.values() for _, _, _, n_b in s]
     joined = [g for g, n_b in zip(gcds, sides) if n_b > max(1, 4 // g) * g]  # more than one long-side block
     assert len(joined) == 2260 and sum(g > 1 for g in joined) == 1690 and sum(g > 4 for g in joined) == 250
-    for block, long_block in ((dynamics._SPLIT_BLOCK, dynamics._SPLIT_LONG_BLOCK), (7, 4)):
-        monkeypatch.setattr(dynamics, "_SPLIT_BLOCK", block)
-        monkeypatch.setattr(dynamics, "_SPLIT_LONG_BLOCK", long_block)
-        for q in qs:
-            _assert_split_matches_stream(q, splits[q])
+    for q in qs:
+        _assert_split_matches_stream(monkeypatch, q, splits[q], ((), (7, 4), (7, 4, 3)))
+
+
+def _keys_width(split):
+    a, b, n_a, n_b = split
+    return np.dtype(dynamics._key_dtype(math.gcd(n_a, n_b), b)).itemsize * 8
+
+
+def test_split_key_width():
+    # uint32 keys while g * b < 2**32 and b < 2**31 (2r stays below 2**32).
+    assert _keys_width((3, 2**31 - 1, 2, 31)) == 32 and _keys_width((3, 2**31 + 11, 2, 1)) == 64
+    assert _keys_width((3, 2**31 - 1, 2, 2)) == 32 and _keys_width((3, 2**31 - 1, 3, 3)) == 64
+    assert _keys_width((3, 2**30 + 1, 4, 60)) == 64 and _keys_width((3, 2**30 - 1, 4, 60)) == 32
+
+
+def test_split_keys_at_both_widths_and_layouts(monkeypatch):
+    # (2**15 - 1) * (2**30 + 1): orders 15 and 60, so g = 15 and g * b >= 2**32
+    # with b < 2**31; (2**10 + 1) * (2**33 - 1): orders 20 and 33, b >= 2**31;
+    # (2**10 + 1) * (2**31 - 1): orders 20 and 31, uint32 keys.  Both orders
+    # of each, under layouts that split the long side into blocks, end its
+    # last lane part way down, and lay out more classes than rows.
+    cases = [(2**15 - 1, 2**30 + 1), (2**10 + 1, 2**33 - 1), (2**10 + 1, 2**31 - 1)]
+    splits = [(a, b, _order(a), _order(b)) for a, b in cases]
+    assert [_keys_width(s) for s in splits] == [64, 64, 32]
+    assert [_keys_width((b, a, n_b, n_a)) for a, b, n_a, n_b in splits] == [32, 32, 32]
+    layouts = ((), (7, 4), (7, 4, 3), (2, 64, 8), (3, 64, 2))
+    rows = dynamics._long_rows
+    with monkeypatch.context() as patch:
+        patch.setattr(dynamics, "_LANES", 8)
+        assert rows(15, 60) == 8 and 60 % 8  # g > rows, and a partial last lane
+        patch.setattr(dynamics, "_LANES", 2)
+        assert rows(15, 60) == 30 and rows(1, 33) == 17 and 33 % 17  # a class a row; a partial lane
+        patch.setattr(dynamics, "_LANES", 3)
+        assert rows(15, 15) == 5 and rows(1, 4) == 2 and rows(3, 3) == 1  # blocks of 4 residues, or of g
+    for split in splits:
+        a, b, n_a, n_b = split
+        q, top = a * b, (a * b).bit_length() - 1
+        expected = oracles.split_levels(q, top)
+        for layout in layouts:
+            with monkeypatch.context() as patch:
+                _set_layout(patch, layout)
+                for swapped in (split, (b, a, n_b, n_a)):
+                    assert list(_split_levels(q, swapped, top)) == expected, (swapped, layout)
+        _assert_split_matches_stream(monkeypatch, q, [split], layouts)
+
+
+_SMALL_ORDER_WIDE = (2**30 + 1, 2**31 - 1, 2**32 + 1, 2**33 - 1, 2**35 - 1, 2**36 + 1, (2**40 - 1) // 3)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.integers(1, 128).map(lambda k: 2 * k + 1),
+       st.one_of(st.integers(1, 128).map(lambda k: 2 * k + 1), st.sampled_from(_SMALL_ORDER_WIDE)),
+       st.integers(1, 9), st.integers(1, 64), st.integers(1, 17))
+def test_split_levels_match_enumerated_powers(a, b, block, long_block, lanes):
+    # Random coprime a, b below 2**8 or of small order up to 2**40, so that
+    # n <= 2**16, both orders, in random layouts: against the powers of 2
+    # mod q enumerated one by one, an oracle that shares nothing with the
+    # stream.
+    assume(math.gcd(a, b) == 1)
+    q, n_a, n_b = a * b, _order(a), _order(b)
+    expected = oracles.split_levels(q, q.bit_length() - 1)
+    with pytest.MonkeyPatch.context() as patch:
+        _set_layout(patch, (block, long_block, lanes))
+        for split in ((a, b, n_a, n_b), (b, a, n_b, n_a)):
+            assert list(_split_levels(q, split, q.bit_length() - 1)) == expected, split
 
 
 def _small_order_parts():
@@ -741,7 +815,7 @@ def test_split_matches_stream_on_random_composites(monkeypatch):
     monkeypatch.setattr(dynamics, "_SPLIT_BLOCK", 512)
     monkeypatch.setattr(dynamics, "_SPLIT_LONG_BLOCK", 4096)
     for q in qs:
-        _assert_split_matches_stream(q, splits[q])
+        _assert_split_matches_stream(monkeypatch, q, splits[q])
 
 
 def test_public_paths_take_the_split_and_match_the_stream(monkeypatch):
@@ -763,16 +837,14 @@ def test_public_paths_take_the_split_and_match_the_stream(monkeypatch):
 
 def test_split_matches_stream_on_long_orbits():
     # Composite q whose orbits of about 1.4e8 doublings the plan splits: both
-    # calls, or the histogram alone, in 2 to 6 long-side blocks, where the
-    # count streams.  Those are the last four: a small factor times a prime
-    # whose order is n / 92 .. n / 267, or (16365973057, 34 bits, orders 630
-    # and 437908) n / 315 in 30-bit lanes.
-    for q in (2877926213, 1158788783, 16172454177, 11971098199, 1433959207,
-              1928914067, 4224669655, 1337563717, 16365973057):
+    # calls, or the histogram alone, in 2 to 26 long-side blocks, where the
+    # count streams.  Those are the last two: a small factor times a prime
+    # whose order is n / 45 (13333506975) and n / 21 (2269084019, 26 blocks).
+    for q in (2877926213, 1158788783, 16172454177, 11971098199, 1433959207, 1928914067,
+              4224669655, 1337563717, 16365973057, 13333506975, 2269084019):
         n = _order(q)
         assert _plan(q, n, True).path == "split", q
-        assert _plan(q, n, False).path == ("lanes" if q in (1928914067, 4224669655, 1337563717, 16365973057)
-                                           else "split"), q
+        assert _plan(q, n, False).path == ("lanes" if q in (13333506975, 2269084019) else "split"), q
         assert period_of(q) == (q, n, _count_reductions(q, n)), q
         flights = _flight_counts_stream(q, n)
         assert flying_time_histogram(q).counts == {t: int(c) for t, c in enumerate(flights) if c}, q
@@ -819,12 +891,13 @@ def test_split_caps_from_both_sides(monkeypatch):
         monkeypatch.setattr(dynamics, "_SPLIT_MAX_LONG", long)
         assert _plan(q, n, True).path == path, (short, long)
         assert flying_time_histogram(q).period == n
-    # At both caps the model prices a split at about 450 s: no longer than
-    # the slow tier's longest stream (row 9a, 455 s).
+    # At both caps the model prices a split at about 310 s, with uint64 keys
+    # at twice the price of uint32: no longer than the slow tier's longest
+    # stream (row 9a, 455 s).
     call_ns, long_ns, short_ns, search_ns = dynamics._SPLIT_NS
     full = dynamics._SPLIT_MAX_LONG // dynamics._SPLIT_LONG_BLOCK * dynamics._SPLIT_MAX_SHORT
     levels = math.log2(dynamics._SPLIT_LONG_BLOCK) + 2
-    assert (long_ns * dynamics._SPLIT_MAX_LONG + (short_ns + search_ns * levels) * full) * 1e-9 < 500
+    assert (2 * long_ns * dynamics._SPLIT_MAX_LONG + (short_ns + search_ns * levels) * full) * 1e-9 < 500
 
 
 def test_split_cost_counts_each_long_block(monkeypatch):
